@@ -66,9 +66,9 @@ def prepare_flagship_input(n_clips: int) -> None:
 
 def run_flagship(n_clips: int) -> dict:
     """Validate the clips table from parquet (the production ingest path:
-    read → repair+schema+audio-SNR actor pool → referential probe → sketch
-    partials).  Corpus synthesis is cached to parquet and excluded from the
-    timed window."""
+    read → repair+schema+audio-SNR check task → referential probe → sketch
+    partials, the last three fused into one Ray Data operator).  Corpus
+    synthesis is cached to parquet and excluded from the timed window."""
     import ray
 
     from engine.data.clips import cached_clips_dataset, speakers_table
@@ -251,8 +251,9 @@ TRIPWIRE_RATIO = 1.3
 def _tripwire(queries: dict[str, float], hist_path: str | None = None) -> dict:
     """Per-query regression tripwire: compare each fresh median against the
     median of that query across ALL prior bench/history.jsonl records at the
-    same sf.  Records with >= 2 history points are eligible (a single point
-    is itself one noisy draw)."""
+    same sf and CPU count (a record that names no CPU count is kept).
+    Queries with >= 2 history points are eligible (a single point is itself
+    one noisy draw)."""
     if hist_path is None:
         hist_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                  "bench", "history.jsonl")
@@ -264,7 +265,8 @@ def _tripwire(queries: dict[str, float], hist_path: str | None = None) -> dict:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if rec.get("sf") != _sf_label():
+                if rec.get("sf") != _sf_label() \
+                        or rec.get("num_cpus", NUM_CPUS) != NUM_CPUS:
                     continue
                 for name, sec in (rec.get("queries") or {}).items():
                     past.setdefault(name, []).append(float(sec))

@@ -46,15 +46,15 @@ _SYNC = 0b11111111111110
 # ------------------------------------------------------------------- CRCs
 
 
-def _crc_table(poly: int, width: int) -> np.ndarray:
+def _crc_table(poly: int, width: int) -> list[int]:
     top = 1 << (width - 1)
     mask = (1 << width) - 1
-    tab = np.empty(256, dtype=np.uint32)
+    tab = []
     for b in range(256):
         r = b << (width - 8)
         for _ in range(8):
             r = ((r << 1) ^ poly) & mask if r & top else (r << 1) & mask
-        tab[b] = r
+        tab.append(r)
     return tab
 
 
@@ -66,16 +66,49 @@ def crc8(data: bytes) -> int:
     tab = _CRC8_TAB
     r = 0
     for b in data:
-        r = int(tab[r ^ b])
+        r = tab[r ^ b]
     return r
+
+
+def _crc16_bytes(data, r: int = 0) -> int:
+    """Byte-at-a-time CRC-16 continuing from register ``r``."""
+    tab = _CRC16_TAB
+    for b in data:
+        r = tab[(r >> 8) ^ b] ^ ((r << 8) & 0xFFFF)
+    return r
+
+
+# CRC-16 over whole 64-byte chunks.  With a zero initial register the CRC is
+# GF(2)-linear in the message, so a chunk's CRC is the XOR of one table entry
+# per byte: _CRC16_POS[j][b] is the CRC of byte b followed by 63 - j zero
+# bytes.  Chunks are chained by pushing the running register through 64 zero
+# bytes, itself linear in the register's two bytes (_CRC16_SHIFT).
+_CRC16_CHUNK = 64
+
+
+def _crc16_position_tables() -> np.ndarray:
+    pos = np.empty((_CRC16_CHUNK, 256), dtype=np.uint16)
+    pos[-1] = _CRC16_TAB
+    for j in range(_CRC16_CHUNK - 2, -1, -1):
+        pos[j] = [_crc16_bytes(b"\0", r) for r in pos[j + 1].tolist()]
+    return pos
+
+
+_CRC16_POS = _crc16_position_tables()
+_CRC16_SHIFT = [[_crc16_bytes(bytes(_CRC16_CHUNK), b << s) for b in range(256)]
+                for s in (8, 0)]
+_CRC16_COLS = np.arange(_CRC16_CHUNK)
 
 
 def crc16(data: bytes) -> int:
-    tab = _CRC16_TAB
+    n_full = len(data) // _CRC16_CHUNK * _CRC16_CHUNK
     r = 0
-    for b in data:
-        r = int(tab[((r >> 8) ^ b) & 0xFF]) ^ ((r << 8) & 0xFFFF)
-    return r
+    if n_full:
+        chunks = np.frombuffer(data, dtype=np.uint8, count=n_full).reshape(-1, _CRC16_CHUNK)
+        hi, lo = _CRC16_SHIFT
+        for c in np.bitwise_xor.reduce(_CRC16_POS[_CRC16_COLS, chunks], axis=1).tolist():
+            r = hi[r >> 8] ^ lo[r & 0xFF] ^ c
+    return _crc16_bytes(data[n_full:], r)
 
 
 # -------------------------------------------------------------- bit pieces

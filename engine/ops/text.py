@@ -624,8 +624,17 @@ def heavy_hitter_terms(docs_ds, *, k: int = 10, capacity: int = 4096,
 
     Pass 1 streams one Misra-Gries partial state per batch (bounded:
     ``capacity`` pairs each) through the bounded tree reduction.  Pass 2
-    broadcasts the merged summary's term set (≤ ``capacity`` terms) and
-    EXACT-counts only those terms (keyed tree reduce of per-batch counts).
+    broadcasts a candidate subset of the merged summary's terms and
+    EXACT-counts only those (keyed tree reduce of per-batch counts).
+
+    Candidate pre-cut: a summary term's estimate ``est`` undercounts its
+    true count by at most ``err = (N - S)/(capacity + 1)``, and the true
+    k-th count is at least ``kth_est``, the k-th largest estimate.  So only
+    terms with ``est + err ≥ kth_est`` can reach the true top-k, and only
+    those are counted (about k terms on a peaked distribution).  If the
+    exact k-th count does not strictly exceed every excluded term's
+    ``est + err`` (an excluded term could tie and win on term order), the
+    whole summary is recounted.
 
     Exactness is not assumed — it is checked: with N total tokens and S
     the sum of the merged summary's counters, any term ABSENT from the
@@ -637,9 +646,9 @@ def heavy_hitter_terms(docs_ds, *, k: int = 10, capacity: int = 4096,
     full-vocabulary exact count — correct but a full-vocab exchange, so
     the sketch path is the scale path and the fallback is the safety net.
 
-    ``candidate_factor`` is retained for signature compatibility; the
-    exact pass now always counts the full summary (the factor*k cut could
-    silently exclude an in-summary term whose true count reaches top-k).
+    ``candidate_factor`` is retained for signature compatibility and
+    unused: the pre-cut above replaces the old factor*k cut, which could
+    silently exclude an in-summary term whose true count reaches top-k.
 
     Ties order (count DESC, term ASC).  Returns a pyarrow Table
     (term: string, cnt: int64) with an explicit schema.

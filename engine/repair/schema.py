@@ -4,9 +4,9 @@ From-scratch re-implementation of the reference's schema repairer
 (mangiucugna/json_repair ``schema_repair.py`` 748 LoC).  Given a JSON Schema
 (dict / bool / pydantic-v2 model) and a parsed value, rewrite the value so it
 validates — or raise ``ValueError``.  In the Ray engine this runs inside
-actor-pool ``map_batches`` stages: one ``SchemaFixer`` per actor, compiled
-jsonschema validators cached per worker (mirror of the reference's validator
-cache, schema_repair.py:141-161).
+``map_batches`` stages: one ``SchemaFixer`` per stage, kept once per worker
+process, so compiled jsonschema validators are cached per worker (mirror of
+the reference's validator cache, schema_repair.py:141-161).
 
 Behavioral contract citations (reference file:line):
   - schema_from_input / pydantic defaults   schema_repair.py:91-121

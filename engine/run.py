@@ -3,8 +3,9 @@
 Execution model (north_rule):
 
   clips (Dataset, streaming blocks)
-    → TranscriptRepairStage     [actor pool — compiled validators per worker]
-    → AudioCheckStage           [actor pool — decoder context per worker]
+    → clip_check_batch          [task: transcript repair + audio check, with
+                                 a per-worker-process ClipCheckStage]
+    → fk_check_batch            [task, fused with the check by Ray Data]
     → fan-out:
         a) verdict rows         → write_parquet(part=K/)   [resumable]
         b) violation rows       → write_parquet(part=K/)
@@ -36,9 +37,8 @@ import pyarrow as pa
 from engine.checks.sketches import Histogram, ks_statistic, psi
 from engine.data.clips import clips_dataset
 from engine.stages import (
-    AudioCheckStage,
-    ClipCheckStage,
-    TranscriptRepairStage,
+    MIN_SNR_DB,
+    clip_check_batch,
     grouped_stats_partials,
     merge_grouped_states,
     sketch_partials_batch,
@@ -54,81 +54,28 @@ VERDICT_COLS = [
 ]
 
 
-def _default_concurrency() -> tuple[int, int]:
-    """Autoscaling actor-pool bounds: two stages share the CPUs, so each pool
-    may scale to roughly half the cluster and never deadlocks on placement."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return (1, max(2, cpus // 2))
-
-
-def validate_clips_dataset(ds, *, repair_concurrency=None, audio_concurrency=None,
-                           batch_size: int = 256, fused: bool = True,
+def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None = None,
                            schema: dict | None = None, min_snr_db: float | None = None):
-    """Attach the check stages to a clips Dataset (lazy).
+    """Attach the fused transcript + audio check to a clips Dataset (lazy).
 
-    Fused (default): one actor pool runs transcript repair + audio checks, so
-    audio payloads never cross the object store between stages.  Unfused keeps
-    two pools (useful when the stages need different resources).
-    ``schema`` / ``min_snr_db`` override the default transcript schema and SNR
-    threshold (run-config surface).
+    The check is a stateless task (``clip_check_batch``), so Ray Data fuses
+    it with the task maps after it (fk check, sketch partials) into one
+    operator: audio payloads never cross the object store between stages,
+    the stage runs on every CPU, and the worker processes, with their
+    per-process stages, are reused across jobs.  ``concurrency`` optionally
+    caps the concurrent check tasks (a capped stage does not fuse with
+    uncapped maps).  ``schema`` / ``min_snr_db`` override the default
+    transcript schema and SNR threshold (run-config surface).
     """
-    from engine.stages import MIN_SNR_DB
-
-    stage_kwargs = {"schema": schema,
-                    "min_snr_db": MIN_SNR_DB if min_snr_db is None else min_snr_db}
-    if fused:
-        # One pool in fused mode: honor whichever bound the caller passed.
-        concurrency = repair_concurrency or audio_concurrency or _fused_concurrency()
-        return ds.map_batches(
-            ClipCheckStage,
-            fn_constructor_kwargs=stage_kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-        )
-    if repair_concurrency is None:
-        repair_concurrency = _default_concurrency()
-    if audio_concurrency is None:
-        audio_concurrency = _default_concurrency()
-    ds = ds.map_batches(
-        TranscriptRepairStage,
-        fn_constructor_kwargs={"schema": stage_kwargs["schema"]},
+    return ds.map_batches(
+        clip_check_batch,
+        fn_kwargs={"schema": schema,
+                   "min_snr_db": MIN_SNR_DB if min_snr_db is None else min_snr_db},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=repair_concurrency,
+        concurrency=concurrency,
         zero_copy_batch=True,
     )
-    ds = ds.map_batches(
-        AudioCheckStage,
-        fn_constructor_kwargs={"min_snr_db": stage_kwargs["min_snr_db"]},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=audio_concurrency,
-        zero_copy_batch=True,
-    )
-    return ds
-
-
-def _fused_concurrency() -> tuple[int, int]:
-    """Fused-pool bounds: cap = cpus-2 (headroom for generator/read tasks).
-
-    On wide machines the pool PRE-STARTS at 3/4 of the cap: Ray's actor-pool
-    autoscaler ramps too slowly to fill 30 slots inside a ~10 s job, which
-    left the flagship at ~5-way effective parallelism on 32 CPUs (41 s of
-    actor work in a 7.6 s window; measured round 3 — prestart took the same
-    corpus from 9.6k to 16.6k clips/s).  Below 16 CPUs prestart is a LOSS:
-    pinned actors starve the read tasks (measured 8-CPU regression, and a
-    (2,2) pool deadlocks outright at 2 CPUs), so small machines keep the
-    autoscaled (1, cap) shape."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    cap = max(2, cpus - 2)
-    min_actors = max(1, (cpus * 3) // 4) if cpus >= 16 else 1
-    return (min_actors, cap)
 
 
 def attach_fk_check(ds, seed: int = 42):
@@ -320,8 +267,7 @@ def _run_partition(part: int, lo: int, hi: int, out: Path, seed: int,
         batch_format="numpy",
         batch_size=min(512, batch_size),
     )
-    checked = validate_clips_dataset(ds, repair_concurrency=concurrency,
-                                     audio_concurrency=concurrency, batch_size=batch_size,
+    checked = validate_clips_dataset(ds, batch_size=batch_size, concurrency=concurrency,
                                      min_snr_db=min_snr_db, schema=schema)
     # Referential check: broadcast Bloom + exact set built from the speakers
     # dimension table once per partition run.

@@ -2,10 +2,13 @@
 
 Each stage is a batch transform over zero-copy Arrow batches:
 
-  - ``TranscriptRepairStage``  — actor-pool callable (compiled schema
-    validators are per-worker state, mirroring the reference's validator
-    cache schema_repair.py:141-161); repairs/validates the transcript column.
-  - ``AudioCheckStage``        — actor-pool callable; decode + SNR invariant.
+  - ``clip_check_batch``       — stateless task function running the fused
+    transcript + audio check.  It calls a ``ClipCheckStage`` kept once per
+    worker process, so compiled schema validators (the reference's validator
+    cache, schema_repair.py:141-161) survive across tasks and jobs, and Ray
+    Data fuses it with the task maps after it.
+  - ``TranscriptRepairStage``  — repairs/validates the transcript column.
+  - ``AudioCheckStage``        — decode + SNR invariant.
   - ``sketch_partials_batch``  — stateless partial-aggregation task emitting
     one small state row per batch (combiner pattern: the all-to-all merge
     sees #batches rows, not #rows).
@@ -41,18 +44,18 @@ MIN_SNR_DB = 30.0
 
 
 class TranscriptRepairStage:
-    """Repair + schema-validate the transcript column.  Actor-pool callable.
+    """Repair + schema-validate the transcript column.
 
     Adds columns:
-        parse_ok: bool         repaired: string (canonical JSON or null)
-        repair_count: int32    transcript_error: string (null when ok)
+        parse_ok: bool         repair_count: int32
+        transcript_error: string (null when ok)
         lang: string           confidence: float64   text_len: int32
     """
 
     def __init__(self, schema: dict | None = None, mode: str = "standard",
                  double_check: bool = False) -> None:
         self.schema = schema if schema is not None else TRANSCRIPT_SCHEMA
-        # Compiled once per actor; fix() reuses cached jsonschema validators.
+        # Compiled once per stage; fix() reuses cached jsonschema validators.
         self.fixer = SchemaFixer(self.schema, None, mode=mode)
         # fix() already coerces/raises for every keyword this schema uses; a
         # full jsonschema pass on top costs ~2x the whole stage (profiled), so
@@ -87,7 +90,6 @@ class TranscriptRepairStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         raws = batch.column("transcript").to_pylist()
         ok = np.zeros(len(raws), dtype=bool)
-        repaired: list[str | None] = []
         counts = np.zeros(len(raws), dtype=np.int32)
         errors: list[str | None] = []
         langs: list[str | None] = []
@@ -98,21 +100,15 @@ class TranscriptRepairStage:
             ok[i] = good
             counts[i] = n
             errors.append(err)
-            if good:
-                repaired.append(json.dumps(doc, sort_keys=True))
-                if isinstance(doc, dict):
-                    langs.append(doc.get("lang"))
-                    conf = doc.get("confidence")
-                    if isinstance(conf, (int, float)):
-                        confs[i] = conf
-                    text_lens[i] = len(doc.get("text", ""))
-                else:
-                    langs.append(None)
+            if good and isinstance(doc, dict):
+                langs.append(doc.get("lang"))
+                conf = doc.get("confidence")
+                if isinstance(conf, (int, float)):
+                    confs[i] = conf
+                text_lens[i] = len(doc.get("text", ""))
             else:
-                repaired.append(None)
                 langs.append(None)
         return batch.append_column("parse_ok", pa.array(ok)) \
-            .append_column("repaired", pa.array(repaired, pa.string())) \
             .append_column("repair_count", pa.array(counts)) \
             .append_column("transcript_error", pa.array(errors, pa.string())) \
             .append_column("lang", pa.array(langs, pa.string())) \
@@ -126,7 +122,7 @@ class TranscriptRepairStage:
 class AudioCheckStage:
     """Decode audio + SNR>=30dB invariant + flat metadata range checks.
 
-    Actor-pool callable (decoder context per worker).  Adds columns:
+    Adds columns:
         audio_ok: bool   snr_db: float64   audio_error: string
         meta_ok: bool    meta_error: string
     """
@@ -177,10 +173,10 @@ class AudioCheckStage:
 
 
 class ClipCheckStage:
-    """Fused transcript + audio check (one actor pool).
+    """Fused transcript + audio check.
 
     Fusing keeps the large ``bytes`` column inside one worker: with separate
-    pools every audio payload crosses the object store between stages; fused,
+    stages every audio payload crosses the object store between them; fused,
     it is read exactly once where it was generated/loaded.
     """
 
@@ -191,6 +187,24 @@ class ClipCheckStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.audio(self.transcript(batch))
+
+
+# One ClipCheckStage per worker process and check config.  Ray reuses worker
+# processes across tasks and jobs, so a stage is built once per process, not
+# once per task.  The key is the schema's JSON text: the schema dict arrives
+# deserialized anew in every task, and SchemaFixer caches its compiled
+# validators by id(schema), so a stage per task would recompile them.
+@functools.lru_cache(maxsize=8)
+def _clip_stage(schema_json: str | None, mode: str, min_snr_db: float) -> ClipCheckStage:
+    schema = None if schema_json is None else json.loads(schema_json)
+    return ClipCheckStage(schema, mode, min_snr_db)
+
+
+def clip_check_batch(batch: pa.Table, schema: dict | None = None, mode: str = "standard",
+                     min_snr_db: float = MIN_SNR_DB) -> pa.Table:
+    """Stateless task form of ``ClipCheckStage`` for ``map_batches``."""
+    schema_json = None if schema is None else json.dumps(schema)
+    return _clip_stage(schema_json, mode, min_snr_db)(batch)
 
 
 # ----------------------------------------------------------- sketch partials

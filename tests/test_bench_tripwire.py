@@ -49,3 +49,18 @@ def test_tripwire_survives_missing_and_garbage_history(tmp_path):
     garbage.write_text("not json\n{\"sf\": \"sf0.1\"}\n")
     tw = bench._tripwire({"a": 1.0}, hist_path=str(garbage))
     assert tw["flagged"] == {} and tw["eligible_queries"] == 0
+
+
+def test_tripwire_scopes_history_by_cpu_count(tmp_path):
+    # records from another CPU count must not contribute history points
+    other = bench.NUM_CPUS * 2
+    hist = _hist(tmp_path, [
+        {"sf": "sf0.1", "num_cpus": other, "queries": {"a": 0.01}},
+        {"sf": "sf0.1", "num_cpus": other, "queries": {"a": 0.01}},
+        {"sf": "sf0.1", "num_cpus": bench.NUM_CPUS, "queries": {"b": 1.0}},
+        {"sf": "sf0.1", "num_cpus": bench.NUM_CPUS, "queries": {"b": 1.0}},
+    ])
+    tw = bench._tripwire({"a": 5.0, "b": 5.0}, hist_path=hist)
+    assert tw["eligible_queries"] == 1
+    assert set(tw["flagged"]) == {"b"}
+    assert tw["flagged"]["b"]["history_points"] == 2

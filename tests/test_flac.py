@@ -386,3 +386,64 @@ def test_unknown_total_with_trailing_garbage_raises():
     raw = _zero_total_samples(encode_flac(pcm, 16_000)) + b"\x00garbage"
     with pytest.raises(AudioDecodeError):
         decode_flac(raw)
+
+
+def _crc_bitwise(data: bytes, poly: int, width: int) -> int:
+    """MSB-first CRC, zero init, one bit at a time (the definition)."""
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    r = 0
+    for byte in data:
+        r ^= byte << (width - 8)
+        for _ in range(8):
+            r = ((r << 1) ^ poly) & mask if r & top else (r << 1) & mask
+    return r
+
+
+def test_crc_matches_bitwise_reference_at_chunk_edges():
+    """crc16 hashes whole 64-byte chunks in numpy and the tail byte by byte;
+    every split of a message into chunks and tail must agree with the
+    definition, including the empty message and one byte either side of
+    each chunk edge."""
+    rng = np.random.default_rng(11)
+    lengths = list(range(0, 200)) + [255, 256, 257, 4095, 4096, 4097, 5000]
+    for n in lengths:
+        data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        assert crc16(data) == _crc_bitwise(data, 0x8005, 16), n
+        assert crc8(data) == _crc_bitwise(data, 0x07, 8), n
+    for data in (bytes(5000), b"\xff" * 5000):
+        assert crc16(data) == _crc_bitwise(data, 0x8005, 16)
+        assert crc8(data) == _crc_bitwise(data, 0x07, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(min_size=0, max_size=5000))
+def test_crc_matches_bitwise_reference_hypothesis(data):
+    assert crc16(data) == _crc_bitwise(data, 0x8005, 16)
+    assert crc8(data) == _crc_bitwise(data, 0x07, 8)
+
+
+def test_every_one_bit_flip_in_a_frame_is_rejected():
+    """A VERBATIM frame decodes whatever its sample bits say, so only the
+    frame CRC-16 can catch a flipped sample bit: every single-bit flip in the
+    samples or the CRC-16 itself must fail with a CRC-16 mismatch, and every
+    flip in the frame or subframe header must fail too."""
+    rng = np.random.default_rng(5)
+    expected = rng.integers(-32768, 32768, 100).astype(np.int16)
+    sub = np.concatenate([_uint_bits(0b0_000001_0, 8),     # VERBATIM, no waste
+                          _signed_bits_vec(expected.astype(np.int64), 16)])
+    raw = _make_stream(sub, expected.size, expected)
+    dec, _ = decode_flac(raw)
+    assert np.array_equal(dec, expected)
+    frame_start = 42                                   # fLaC + STREAMINFO block
+    samples_start = frame_start + 8 + 1                # frame + subframe header
+    assert len(raw) - frame_start > 3 * 64             # spans several CRC chunks
+    for byte in range(frame_start, len(raw)):
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[byte] ^= 1 << bit
+            if byte >= samples_start:
+                with pytest.raises(AudioDecodeError, match="CRC-16"):
+                    decode_flac(bytes(bad))
+            else:
+                with pytest.raises(AudioDecodeError):
+                    decode_flac(bytes(bad))

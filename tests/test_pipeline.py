@@ -1,6 +1,9 @@
 """End-to-end validation pipeline on a small clips corpus (needs Ray)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -222,20 +225,81 @@ def test_shrinking_partitions_purges_stale_output(ray_session, tmp_path):
     assert m2["overall_pass"] == fresh["overall_pass"]
 
 
-def test_fused_concurrency_prestarts_wide_machines(ray_session, monkeypatch):
-    """Round-3 perf fix: on wide machines the fused pool pre-starts at 3/4 of
-    cap (the autoscaler ramps too slowly to fill a short job — measured 9.6k
-    -> 16.6k clips/s on 32 CPUs), while small machines keep min=1 (a pinned
-    pool starves reads at 8 CPUs and deadlocks at 2)."""
-    import ray
+# One small-cluster run in a fresh process: the flagship chain (check, fk,
+# sketch partials, tree merge) on clips_dataset(n), printing the totals.
+_SMALL_CLUSTER_RUN = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False)
+import ray.data
+ray.data.DataContext.get_current().enable_progress_bars = False
+from engine.data.clips import clips_dataset
+from engine.run import attach_fk_check, validate_clips_dataset
+from engine.stages import sketch_partials_batch, tree_merge_partials
+checked = attach_fk_check(validate_clips_dataset(
+    clips_dataset(int(sys.argv[2]), seed=42), batch_size=64))
+merged = tree_merge_partials(checked.map_batches(
+    sketch_partials_batch, batch_format="pyarrow", zero_copy_batch=True).materialize())
+print("TOTALS " + json.dumps(merged["totals"]))
+ray.shutdown()
+"""
 
-    from engine.run import _fused_concurrency
 
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 32})
-    assert _fused_concurrency() == (24, 30)
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 16})
-    assert _fused_concurrency() == (12, 14)
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 8})
-    assert _fused_concurrency() == (1, 6)
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 2})
-    assert _fused_concurrency() == (1, 2)
+@pytest.mark.slow
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_clip_check_finishes_on_small_clusters(num_cpus):
+    """The check stage needs no pool sizing: on a 1- or 2-CPU cluster the
+    check, fk and sketch chain finishes (no placement deadlock, which a
+    pinned 2-actor pool had at 2 CPUs) and its totals equal the planted
+    truth."""
+    from tools.make_clips_truth import clips_truth_table
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    n = 300
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_CLUSTER_RUN, str(num_cpus), str(n)],
+        capture_output=True, text=True, timeout=300, cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo}, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = [ln for ln in proc.stdout.splitlines() if ln.startswith("TOTALS ")][-1]
+    totals = json.loads(line[len("TOTALS "):])
+
+    truth = clips_truth_table(n, seed=42).to_pandas()
+    defect = truth["defect"]
+    assert totals["rows"] == n
+    assert totals["parse_ok"] == int((defect != "junk").sum())
+    assert totals["meta_ok"] == int((defect != "sr_out").sum())
+    assert totals["audio_ok"] == int((~defect.isin(
+        ["sr_out", "dur_lie", "audio_corrupt", "audio_trunc"])).sum())
+    assert totals["fk_ok"] == int((~truth["orphan"]).sum())
+    # The corpus exercises every check family at this size.
+    assert set(defect.unique()) >= {"junk", "sr_out", "dur_lie",
+                                    "audio_corrupt", "audio_trunc"}
+    assert truth["orphan"].any()
+
+
+def test_clip_check_batch_keeps_one_stage_per_config():
+    """The task form of the check builds one ClipCheckStage per process and
+    config: equal schemas deserialized into new dicts (as in every Ray
+    task) share a stage, and a different threshold gets its own."""
+    import copy
+
+    import numpy as np
+
+    import engine.stages as stages
+    from engine.data.clips import TRANSCRIPT_SCHEMA, make_clips_batch
+
+    batch = make_clips_batch({"id": np.arange(64)}, seed=42)
+    stages._clip_stage.cache_clear()
+    first = stages.clip_check_batch(batch, schema=copy.deepcopy(TRANSCRIPT_SCHEMA))
+    again = stages.clip_check_batch(batch, schema=copy.deepcopy(TRANSCRIPT_SCHEMA))
+    assert stages._clip_stage.cache_info().currsize == 1
+    verdicts = ["parse_ok", "repair_count", "meta_ok", "audio_ok", "audio_error"]
+    assert again.select(verdicts).equals(first.select(verdicts))
+    assert first.column("audio_ok").to_numpy().any()
+
+    strict = stages.clip_check_batch(batch, schema=copy.deepcopy(TRANSCRIPT_SCHEMA),
+                                     min_snr_db=1e9)
+    assert stages._clip_stage.cache_info().currsize == 2
+    assert not strict.column("audio_ok").to_numpy().any()
+    assert strict.column("parse_ok").equals(first.column("parse_ok"))
