@@ -8,14 +8,17 @@ Two scale-correct passes:
 
   1. count/nulls/min/max — per-batch partials (one tiny dict per batch)
      merged by keyed_tree_reduce: zero shuffle, O(batches x columns) rows.
-  2. exact distinct — per-batch-distinct (column, value) pairs through ONE
-     hash groupby (the unavoidable exchange for exactness; the pairs are
-     already batch-deduped so a heavily repetitive column ships far fewer
-     rows than it has), then per-column counts re-partialed and tree-merged
-     so the low-cardinality finalize never sees sparse groupby empties.
-     At 100 TB use ``profile_table_approx`` below — ONE pass, HLL registers
-     instead of a (column, value) exchange — and keep this exact form as
-     the oracle companion.
+  2. exact distinct — a hash-partitioned exchange counted in Arrow.  Each
+     batch emits its distinct (column, canonical value) pairs plus a
+     ``part`` id (a fixed-key hash of the value modulo the partition
+     count, which follows the cluster CPU count); Ray's groupby on
+     ``part`` brings every copy of a value to one partition, where two
+     Arrow hash aggregates dedup the pairs and count them per column.  The
+     driver sums at most partitions x columns counts.  The pairs are
+     batch-deduped, so a repetitive column ships far fewer rows than it
+     has.  At 100 TB use ``profile_table_approx`` below — ONE pass, HLL
+     registers instead of a (column, value) exchange — and keep this exact
+     form as the oracle companion.
 
 Values cross the exchange as canonical strings: ints/epochs via str(),
 floats via float.hex() (exact, locale-free), strings as themselves — so
@@ -53,6 +56,16 @@ def _canonical(vals: np.ndarray, kind: str) -> list[str]:
     return [str(v) for v in vals]
 
 
+def _value_partition(vals: list[str], n_parts: int) -> np.ndarray:
+    """Exchange partition of each canonical value.  pandas' siphash has a
+    fixed key, so every worker process maps a value to the same partition
+    (the builtin ``hash`` of a str is salted per process)."""
+    from pandas.util import hash_array
+
+    h = hash_array(np.asarray(vals, dtype=object), categorize=False)
+    return (h % np.uint64(n_parts)).astype(np.int64)
+
+
 def _repr_out(v, kind: str) -> str:
     if kind == "float":
         return f"{float(v):.6f}"
@@ -63,9 +76,8 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
     """Profile ``columns`` of ``ds``: one output row per column with
     n_rows, n_nulls, n_distinct (exact), min_repr, max_repr (col_name keys the row)."""
     import pyarrow.compute as pc
-    import ray.data
 
-    from engine.stages import keyed_tree_reduce
+    from engine.stages import bucket_shuffle_partitions, keyed_tree_reduce
 
     kinds: dict[str, str] = {
         f.name: _column_kind(f.type)
@@ -104,6 +116,8 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
         ds.map_batches(stats_partial, batch_format="pyarrow",
                        zero_copy_batch=True), merge)
 
+    n_parts = bucket_shuffle_partitions()
+
     def distinct_pairs(batch: pa.Table) -> pa.Table:
         cols, vals = [], []
         for c in columns:
@@ -113,23 +127,25 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
             cols.extend([c] * len(canon))
             vals.extend(canon)
         return pa.table({"col_name": pa.array(cols, pa.string()),
-                         "v": pa.array(vals, pa.large_string())})
+                         "v": pa.array(vals, pa.large_string()),
+                         "part": pa.array(_value_partition(vals, n_parts))})
 
-    pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby(["col_name", "v"]).count()
+    def count_part(part: pa.Table) -> pa.Table:
+        # One partition holds every copy of its values: dedup the pairs,
+        # then count them per column — two Arrow hash aggregates.
+        pairs = part.group_by(["col_name", "v"], use_threads=False) \
+            .aggregate([])
+        g = pairs.group_by("col_name", use_threads=False) \
+            .aggregate([([], "count_all")])
+        return pa.table({"col_name": g.column("col_name"),
+                         "n": g.column("count_all")})
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        uniq, cnts = np.unique(
-            np.asarray(batch.column("col_name").to_pylist(), dtype=object),
-            return_counts=True)
-        return pa.table({"state": pa.array(
-            [json.dumps({str(k): int(c) for k, c in zip(uniq, cnts)})],
-            pa.large_string())})
-
-    distinct = keyed_tree_reduce(
-        pairs.map_batches(count_partial, batch_format="pyarrow"),
-        lambda a, b: a + b)
+    distinct: dict[str, int] = {}
+    for r in ds.map_batches(distinct_pairs, batch_format="pyarrow",
+                            zero_copy_batch=True) \
+            .groupby("part").map_groups(count_part, batch_format="pyarrow") \
+            .take_all():   # <= n_parts x columns rows
+        distinct[r["col_name"]] = distinct.get(r["col_name"], 0) + r["n"]
 
     rows = sorted(columns)
     return pa.table({
@@ -138,7 +154,7 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
                             for c in rows], pa.int64()),
         "n_nulls": pa.array([merged[c]["nulls"] if c in merged else 0
                              for c in rows], pa.int64()),
-        "n_distinct": pa.array([int(distinct.get(c, 0)) for c in rows],
+        "n_distinct": pa.array([distinct.get(c, 0) for c in rows],
                                pa.int64()),
         # SQL MIN/MAX of an empty/all-null column is NULL — mirror that
         # (an empty-corpus profile must hash-match the oracle).

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 import pyarrow as pa
@@ -707,7 +708,7 @@ def orders_price_bands(sf_dir: str):
     exact at any corpus size.  Empty bands are omitted, exactly like the
     SQL INNER JOIN; boundary hits are IEEE double compares on both sides.
     """
-    from engine.stages import keyed_tree_reduce
+    from engine.stages import keyed_tree_reduce, reraise_udf_value_error
 
     names = [b[0] for b in PRICE_BANDS]
     interior = np.array([b[1] for b in PRICE_BANDS[1:]], dtype=np.float64)
@@ -716,6 +717,15 @@ def orders_price_bands(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch.column("o_totalprice").to_numpy()
+        # Loud guard: searchsorted would put a negative price in band1 and
+        # NaN (or a null, read as NaN) in band5, where the SQL join drops
+        # them.  The corpus contract is finite, non-negative prices.
+        bad = ~(v >= 0.0) | np.isinf(v)
+        if bad.any():
+            raise ValueError(
+                f"orders_price_bands needs finite non-negative o_totalprice; "
+                f"{int(bad.sum())} row(s) out of contract, e.g. "
+                f"{float(v[bad][0])!r}")
         idx = np.searchsorted(interior, v, side="right")   # [lo, hi) bands
         cents = _half_away_cents(v)
         cnt = np.bincount(idx, minlength=len(names))
@@ -726,9 +736,14 @@ def orders_price_bands(sf_dir: str):
         return pa.table({"state": pa.array([json.dumps(st)],
                                            pa.large_string())})
 
-    merged = keyed_tree_reduce(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        lambda a, b: [a[0] + b[0], a[1] + b[1]])
+    try:
+        merged = keyed_tree_reduce(
+            ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+            lambda a, b: [a[0] + b[0], a[1] + b[1]])
+    except Exception as err:
+        reraise_udf_value_error(err, "orders_price_bands needs")
+        raise
     keys = sorted(merged)
     return pa.table({
         "band": pa.array(keys, pa.string()),
@@ -1463,7 +1478,10 @@ def _events_daily_agg(ds):
         })
         g = pairs.group_by(["event_type", "day"], use_threads=False).aggregate(
             [([], "count_all"), ("value_c", "sum")])
-        return g.rename_columns(["event_type", "day", "n", "sum_c"])
+        return pa.table({"event_type": g.column("event_type"),
+                         "day": g.column("day"),
+                         "n": g.column("count_all"),
+                         "sum_c": g.column("value_c_sum")})
 
     def finalize(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1839,7 +1857,10 @@ def grouping_sets(sf_dir: str, sets: list[tuple[str, ...]]):
         })
         g = pairs.group_by(["priority", "month"], use_threads=False).aggregate(
             [([], "count_all"), ("cents", "sum")])
-        return g.rename_columns(["priority", "month", "n", "cents"])
+        return pa.table({"priority": g.column("priority"),
+                         "month": g.column("month"),
+                         "n": g.column("count_all"),
+                         "cents": g.column("cents_sum")})
 
     detail = ds.map_batches(partial, batch_format="pyarrow",
                             zero_copy_batch=True) \
@@ -1945,7 +1966,9 @@ def events_moving_avg(sf_dir: str, window: int = 7):
         })
         g = pairs.group_by(["event_type", "day"],
                            use_threads=False).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "day", "n"])
+        return pa.table({"event_type": g.column("event_type"),
+                         "day": g.column("day"),
+                         "n": g.column("count_all")})
 
     def frame_per_type(group: pa.Table) -> pa.Table:
         order = np.argsort(group.column("day").to_numpy(zero_copy_only=False),
@@ -3604,8 +3627,9 @@ FROM e FULL OUTER JOIN o ON e.key = o.key ORDER BY key
 def profile_events(sf_dir: str):
     """Whole-table column profile of events (count / nulls / exact distinct
     / min-max per column) — see engine/checks/profile.py for the two-pass
-    scale shape (tree-reduced partials + one batch-deduped distinct
-    exchange; HLL swap-in at 100 TB)."""
+    scale shape (tree-reduced partials + one hash-partitioned exchange of
+    batch-deduped (column, value) pairs, counted per partition in Arrow;
+    HLL swap-in at 100 TB)."""
     from engine.checks.profile import profile_table
 
     return profile_table(
@@ -3649,6 +3673,26 @@ FROM events"""
 PROFILE_EVENTS_SQL = _profile_events_sql()
 
 
+def _exact_cv(cnt: np.ndarray) -> float:
+    """Population stddev / mean of integer counts — SQL
+    STDDEV_POP(cnt) / AVG(cnt) — as sqrt(n·Σc² − (Σc)²) / Σc.  The sums are
+    Python ints and the root is an integer isqrt, so nothing is rounded
+    until the one float step at the end: the result is the double nearest
+    the exact cv (a float64 np.std loses exactness once Σ(c − mean)²
+    passes 2^53)."""
+    c = cnt.astype(object)
+    s1, s2 = int(c.sum()), int((c * c).sum())
+    num, den = len(c) * s2 - s1 * s1, s1 * s1
+    # floor(cv · 2^k) with >= 64 significant bits; a set low bit marks an
+    # inexact root, so float() rounds it as it would the exact value.
+    k = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    q, rem = divmod(num << (2 * k), den)
+    root = math.isqrt(q)
+    if rem or root * root != q:
+        root |= 1
+    return math.ldexp(float(root), -k)
+
+
 def events_key_skew(sf_dir: str):
     """Key-SKEW diagnostics — the measurement companion of the engine's
     salted shuffles (north_rule: "skew handled explicitly"): per candidate
@@ -3681,7 +3725,7 @@ def events_key_skew(sf_dir: str):
         # frame — zero report rows, matching the SQL HAVING guard.
         if len(counts) == 0 or "sum(cnt)" not in counts.columns:
             continue
-        cnt = counts["sum(cnt)"].to_numpy(dtype=np.float64)
+        cnt = counts["sum(cnt)"].to_numpy(dtype=np.int64)
         n_keys, n_rows = int(cnt.size), int(cnt.sum())
         mx, mn = int(cnt.max()), int(cnt.min())
         rows["key_col"].append(key)
@@ -3689,9 +3733,7 @@ def events_key_skew(sf_dir: str):
         rows["n_rows"].append(n_rows)
         rows["max_cnt"].append(mx)
         rows["min_cnt"].append(mn)
-        # population stddev / mean — matches SQL STDDEV_POP(cnt)/AVG(cnt)
-        rows["cv"].append(float(_half_away_round(
-            float(np.std(cnt)) / float(cnt.mean()), 6)))
+        rows["cv"].append(float(_half_away_round(_exact_cv(cnt), 6)))
         # percentile_cont(0.5): linear interpolation, exact halves on ints
         rows["p50_cnt"].append(float(_half_away_round(
             float(np.percentile(cnt, 50, method="linear")), 6)))
@@ -4204,7 +4246,10 @@ def revenue_by_segment_day(sf_dir: str):
         g = batch.select(["segment", "month", "n_items", "rev_c"]) \
             .group_by(["segment", "month"], use_threads=False) \
             .aggregate([("n_items", "sum"), ("rev_c", "sum")])
-        return g.rename_columns(["segment", "month", "n", "rev_c"])
+        return pa.table({"segment": g.column("segment"),
+                         "month": g.column("month"),
+                         "n": g.column("n_items_sum"),
+                         "rev_c": g.column("rev_c_sum")})
 
     def finalize(batch: pa.Table) -> pa.Table:
         return pa.table({

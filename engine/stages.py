@@ -606,7 +606,8 @@ def group_value_counts(ds, key: str, value_col: str):
                                              pa.float64())})
         g = pairs.group_by([key, value_col],
                            use_threads=False).aggregate([([], "count_all")])
-        return g.rename_columns([key, value_col, "cnt"])
+        return pa.table({key: g.column(key), value_col: g.column(value_col),
+                         "cnt": g.column("count_all")})
 
     return (
         ds.map_batches(partial_counts, batch_format="pyarrow",
@@ -685,6 +686,16 @@ def _stage_half_away(x: float, decimals: int) -> float:
     """SQL ROUND semantics (half away from zero) for derived doubles."""
     scale = 10.0 ** decimals
     return float(np.copysign(np.floor(abs(x) * scale + 0.5), x) / scale)
+
+
+def reraise_udf_value_error(err: Exception, marker: str) -> None:
+    """Ray wraps a task's ValueError in RayTaskError(UserCodeException):
+    when ``err`` carries the message starting at ``marker``, restore the
+    typed error at the operator boundary (callers re-raise ``err`` when
+    this returns)."""
+    msg = str(err)
+    if marker in msg:
+        raise ValueError(msg[msg.index(marker):].splitlines()[0]) from None
 
 
 def combine_partial_states(states: list[dict]) -> dict:
@@ -1049,12 +1060,7 @@ def with_row_number(ds, keys: list[str], *, out_col: str = "row_number"):
     try:
         sorted_ds = checked.sort(keys).materialize()
     except Exception as err:
-        # Ray wraps the task's ValueError in RayTaskError(UserCodeException);
-        # restore the typed, column-naming error at the operator boundary.
-        marker = "with_row_number: sort key column"
-        msg = str(err)
-        if marker in msg:
-            raise ValueError(msg[msg.index(marker):].splitlines()[0]) from None
+        reraise_udf_value_error(err, "with_row_number: sort key column")
         raise
     if sorted_ds.count() == 0:
         empty = pa.Table.from_arrays(

@@ -1093,6 +1093,103 @@ def test_profile_table_nulls_and_types(ray_session, tmp_path):
                       ["i", "nope"])
 
 
+def test_profile_table_distinct_exact_across_many_blocks(ray_session):
+    """Every value repeats in each of 16 blocks, so every map task emits the
+    same (column, value) pairs: the exchange must route all copies of a
+    value to one partition (a per-process salted hash overcounts) and count
+    it once there."""
+    import pyarrow.compute as pc
+    import ray.data
+
+    from engine.checks.profile import profile_table
+
+    rng = np.random.default_rng(11)
+    base = pa.table({
+        "i": pa.array(np.arange(300) * 7919, pa.int64()),
+        "f": pa.array(np.arange(300) / 8.0 - 10.0, pa.float64()),
+        "s": pa.array([f"k{v % 120}" for v in range(300)], pa.string()),
+        "ts": pa.array(np.arange(300) % 45, pa.timestamp("us")),
+    })
+    blocks = [base.take(rng.permutation(base.num_rows)) for _ in range(16)]
+    ds = ray.data.from_arrow(blocks)
+    assert ds.num_blocks() >= 16
+    out = profile_table(ds, ["i", "f", "s", "ts"]).to_pandas() \
+        .set_index("col_name")
+    whole = pa.concat_tables(blocks)
+    for c in ("i", "f", "s", "ts"):
+        assert out.loc[c, "n_rows"] == 16 * 300
+        assert out.loc[c, "n_distinct"] == pc.count_distinct(
+            whole.column(c)).as_py(), c
+
+
+def test_profile_value_partition_is_process_independent():
+    """Workers compute the exchange partition independently, so the value ->
+    partition map must not depend on the process's string-hash salt."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from engine.checks.profile import _value_partition
+
+    vals = [f"v{i}" for i in range(64)] + ["0x1.8000000000000p+0", "nan"]
+    want = _value_partition(vals, 32).tolist()
+    assert len(set(want)) > 1
+    code = ("import json, sys\n"
+            "from engine.checks.profile import _value_partition\n"
+            "print(json.dumps(_value_partition(json.loads(sys.argv[1]), 32)"
+            ".tolist()))")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": repo}
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(vals)],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert json.loads(out.stdout) == want, seed
+
+
+def test_profile_table_more_partitions_than_values(ray_session, tmp_path):
+    """A two-row table holds far fewer distinct values than the exchange
+    has partitions, so most partitions are empty (Ray's sort emits them as
+    zero-column blocks); a one-value column must still count 1."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from engine.checks.profile import profile_table
+
+    pq.write_table(pa.table({"one": pa.array([7, 7], pa.int64()),
+                             "s": pa.array(["x", "y"], pa.string())}),
+                   tmp_path / "two.parquet")
+    for ds in (ray.data.read_parquet(str(tmp_path / "two.parquet")),
+               ray.data.read_parquet(str(tmp_path / "two.parquet"))
+               .repartition(2)):
+        out = profile_table(ds, ["one", "s"]).to_pandas().set_index("col_name")
+        assert out.loc["one"].tolist() == [2, 0, 1, "7", "7"]
+        assert out.loc["s"].tolist() == [2, 0, 2, "x", "y"]
+
+
+def test_profile_table_float_identity(ray_session):
+    """Distinct floats are float.hex identities: every NaN payload is one
+    value, -0.0 and 0.0 are two; an all-null column has 0 distinct."""
+    import struct
+
+    import ray.data
+
+    from engine.checks.profile import profile_table
+
+    other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    vals = [float("nan"), other_nan, -0.0, 0.0, 1.5, None, float("nan")]
+    t = pa.table({"f": pa.array(vals, pa.float64()),
+                  "null_f": pa.array([None] * len(vals), pa.float64())})
+    ds = ray.data.from_arrow([t, t.slice(2)])
+    out = profile_table(ds, ["f", "null_f"]).to_pandas().set_index("col_name")
+    assert out.loc["f", "n_distinct"] == 4          # nan, -0.0, 0.0, 1.5
+    assert out.loc["f", "n_nulls"] == 2
+    assert out.loc["null_f", ["n_rows", "n_nulls", "n_distinct"]] \
+        .tolist() == [12, 12, 0]
+    assert out.loc["null_f", "min_repr"] is None
+
+
 def test_constraint_suite_null_semantics_and_errors():
     from engine.checks.constraints import ConstraintSuite
 
