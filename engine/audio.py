@@ -322,7 +322,7 @@ def decode_wav(raw: bytes) -> tuple[np.ndarray, int]:
     data = None
     fact_samples = None
     while pos + 8 <= len(raw):
-        cid = raw[pos:pos + 4]
+        cid = bytes(raw[pos:pos + 4])
         size = int.from_bytes(raw[pos + 4:pos + 8], "little")
         body = raw[pos + 8:pos + 8 + size]
         if len(body) < size:
@@ -452,7 +452,10 @@ def snr_db(reference: np.ndarray, decoded: np.ndarray) -> float:
 
 def check_clip_audio(clip_id: str, raw: bytes, sr_hz: int, dur_ms: int, codec: str,
                      min_snr_db: float = 30.0) -> dict:
-    """Full audio invariant for one row.  Returns a verdict dict (never raises)."""
+    """Full audio invariant for one row.  Returns a verdict dict (never raises).
+
+    ``raw`` is bytes or an unsigned-byte memoryview of them (the decoders
+    only slice, index and ``np.frombuffer`` it)."""
     out = {"audio_ok": False, "snr_db": None, "audio_error": None}
     try:
         decoded, wav_sr = decode_any(raw, codec)

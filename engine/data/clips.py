@@ -263,13 +263,16 @@ def cached_clips_dataset(n_clips: int, *, seed: int = 42,
 
     Synthesis is deterministic, so the cache key is (n, seed).  Written to a
     temp dir then atomically renamed, so concurrent callers never see a
-    partial table.  Reading parquet also exercises the real ingest path
-    (column pruning, row groups) that production would use — pass ``columns``
-    to prune at the read (a metadata-only query must not ship audio bytes).
+    partial table.  The read goes through the storage seam
+    (``engine.io.read_table``), the ingest path production uses: one read
+    task per row group, so a table of ~2000-row files still feeds every CPU
+    (``ray.data.read_parquet`` would read each file in one task).  Pass
+    ``columns`` to prune at the read (a metadata-only query must not ship
+    audio bytes).
     """
     import os
 
-    import ray.data
+    from engine.io import read_table
 
     # v2: ~2000-row files (v1 wrote one tiny file per generation block); the
     # version token forces hosts with an old cache to rebuild in the new
@@ -314,7 +317,7 @@ def cached_clips_dataset(n_clips: int, *, seed: int = 42,
         finally:
             # A failed build (or a lost race) must not leak tmp dirs.
             shutil.rmtree(tmp, ignore_errors=True)
-    return ray.data.read_parquet(path, columns=columns)
+    return read_table(path, columns=columns)
 
 
 def clips_count_for_sf_dir(sf_dir: str) -> int:

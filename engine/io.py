@@ -4,9 +4,30 @@ The north rule targets Lance tables; this sandbox has no ``lance`` package
 (SURVEY.md §7.6), so every reader/writer in the engine goes through this seam
 and silently uses Parquet.  When lance is installed, the same call sites get
 ``ray.data.read_lance`` / ``write_lance`` with no other changes.
+
+Parquet is read ONE RAY READ TASK PER ROW GROUP (``RowGroupParquetDatasource``).
+``ray.data.read_parquet`` plans one read task per file, so a table of a few
+large files reads on a few CPUs however many the cluster has.  To reach its
+200-block read minimum Ray then appends ``SplitBlocks(k)``, which cuts each
+file's output into k slivers AFTER the single task has read it all: the
+downstream check bundles still arrive one file at a time, and a 1-file clips
+table ran its check at a parallelism of ~0.9 on 4 CPUs.  The row-group source
+reads the footers on the driver, plans one task per row group, and passes
+``override_num_blocks`` = the task count so Ray adds no ``SplitBlocks``
+(without it Ray still splits the row groups into slivers to reach its
+block minimum).
+The row groups are the planning unit because the writer already chose them:
+no new knob, and the task count comes from footer metadata alone.  Feeding
+``(path, row group)`` items through ``from_items().map_batches(read)`` does
+NOT work: that map fuses with the batch-size-bound check map after it, and
+the fused operator bundles all the one-row items into a single task.
 """
 
 from __future__ import annotations
+
+from ray.data import Datasource, ReadTask
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Partitioning, PathPartitionParser
 
 
 def have_lance() -> bool:
@@ -18,12 +39,85 @@ def have_lance() -> bool:
         return False
 
 
+# read_parquet's default: every ``key=value`` directory on a file's path is a
+# string column.
+_hive = PathPartitionParser(Partitioning("hive"))
+
+
+def _read_row_group(fragment, file_schema, schema):
+    import pyarrow as pa
+
+    table = fragment.to_table(schema=file_schema,
+                              columns=[c for c in schema.names if c in file_schema.names])
+    for key, value in _hive(fragment.path).items():
+        if key in schema.names and key not in table.column_names:
+            table = table.append_column(key, pa.array([value] * table.num_rows, pa.string()))
+    return table.select(schema.names)
+
+
+class RowGroupParquetDatasource(Datasource):
+    """A parquet file or directory as one read task per row group.
+
+    Gives the rows and columns of ``ray.data.read_parquet``: hive
+    ``key=value`` directories become string columns, which ``columns``
+    prunes like any other.  A table with files but no row groups reads as
+    one empty block that keeps its schema; a directory with no files reads
+    as no blocks.
+    """
+
+    def __init__(self, path: str, columns: list | None = None) -> None:
+        import os
+
+        import pyarrow as pa
+        import pyarrow.dataset as pds
+
+        # Read tasks run in worker processes, whose working directory is not
+        # the driver's.
+        if "://" not in path:
+            path = os.path.abspath(path)
+        dataset = pds.dataset(path, format="parquet")
+        # split_by_row_group() reads every footer here, on the driver.
+        self._fragments = [rg for f in dataset.get_fragments()
+                           for rg in f.split_by_row_group()]
+        self._file_schema = schema = dataset.schema
+        for key in _hive(dataset.files[0]) if dataset.files else ():
+            if key not in schema.names:
+                schema = schema.append(pa.field(key, pa.string()))
+        self._schema = schema if columns is None else pa.schema(
+            [schema.field(c) for c in columns])
+        self._empty = not self._fragments and bool(dataset.files)
+
+    def num_tasks(self) -> int:
+        return len(self._fragments) + self._empty
+
+    def _metadata(self, fragment) -> BlockMetadata:
+        meta = fragment.row_groups[0].metadata
+        cols = (meta.column(j) for j in range(meta.num_columns))
+        size = sum(c.total_uncompressed_size for c in cols
+                   if c.path_in_schema.split(".")[0] in self._schema.names)
+        return BlockMetadata(meta.num_rows, size, None, [fragment.path])
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._metadata(f).size_bytes for f in self._fragments)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        schema, file_schema = self._schema, self._file_schema
+        if self._empty:
+            return [ReadTask(lambda: [schema.empty_table()],
+                             BlockMetadata(0, 0, None, None), schema)]
+        return [ReadTask(lambda f=f: [_read_row_group(f, file_schema, schema)],
+                         self._metadata(f), schema)
+                for f in self._fragments]
+
+
 def read_table(path: str, *, columns=None, **kwargs):
     import ray.data
 
     if have_lance() and str(path).endswith(".lance"):
         return ray.data.read_lance(path, columns=columns, **kwargs)
-    return ray.data.read_parquet(path, columns=columns, **kwargs)
+    source = RowGroupParquetDatasource(str(path), columns)
+    return ray.data.read_datasource(source, override_num_blocks=max(1, source.num_tasks()),
+                                    **kwargs)
 
 
 def write_table(ds, path: str, **kwargs) -> None:

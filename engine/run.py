@@ -339,12 +339,12 @@ def _run_partition(part: int, lo: int, hi: int, out: Path, seed: int,
 def _global_duplicate_groups(out: Path) -> int:
     """Exact count of clip_id groups appearing more than once across ALL
     partitions' verdicts (key-only read + key-only shuffle)."""
-    import ray.data
+    from engine.io import read_table
 
     verdicts = out / "verdicts"
     if not verdicts.exists():
         return 0
-    ds = ray.data.read_parquet(str(verdicts), columns=["clip_id"])
+    ds = read_table(str(verdicts), columns=["clip_id"])
     dups = ds.groupby("clip_id").count().map_batches(
         lambda t: t.filter(pa.compute.greater(t.column("count()"), 1)),
         batch_format="pyarrow", zero_copy_batch=True)

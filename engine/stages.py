@@ -119,6 +119,25 @@ class TranscriptRepairStage:
 # ----------------------------------------------------------------- audio stage
 
 
+def binary_views(column: pa.ChunkedArray) -> list:
+    """Each value of a binary column as a memoryview of its slice of the
+    Arrow data buffer (None for a null): the decoders read the payload in
+    place, with no per-row ``bytes`` copy."""
+    views: list = []
+    for chunk in column.chunks:
+        if not len(chunk):
+            continue
+        _, offsets, data = chunk.buffers()
+        width = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
+        bounds = np.frombuffer(offsets, dtype=width)[
+            chunk.offset:chunk.offset + len(chunk) + 1].tolist()
+        buf = memoryview(data if data is not None else b"").cast("B")
+        valid = chunk.is_valid().to_pylist() if chunk.null_count else [True] * len(chunk)
+        views.extend(buf[lo:hi] if ok else None
+                     for lo, hi, ok in zip(bounds, bounds[1:], valid))
+    return views
+
+
 class AudioCheckStage:
     """Decode audio + SNR>=30dB invariant + flat metadata range checks.
 
@@ -137,7 +156,7 @@ class AudioCheckStage:
         srs = batch.column("sr_hz").to_numpy()
         durs = batch.column("dur_ms").to_numpy()
         codecs = batch.column("codec").to_pylist()
-        blobs = batch.column("bytes")
+        blobs = binary_views(batch.column("bytes"))
 
         # Vectorized flat-column checks first.
         sr_ok = (srs >= SR_RANGE[0]) & (srs <= SR_RANGE[1])
@@ -159,7 +178,7 @@ class AudioCheckStage:
             if not meta_ok[i]:
                 errs.append(None)  # meta failure already recorded; skip decode
                 continue
-            v = check_clip_audio(clip_ids[i], blobs[i].as_py(), int(srs[i]), int(durs[i]),
+            v = check_clip_audio(clip_ids[i], blobs[i], int(srs[i]), int(durs[i]),
                                  codecs[i], self.min_snr_db)
             ok[i] = v["audio_ok"]
             if v["snr_db"] is not None:

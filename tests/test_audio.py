@@ -185,3 +185,51 @@ def test_synth_adpcm_closed_form():
         blk[1::2] = p + d
         expect[:] = np.tile(blk, nb)
         assert np.array_equal(ints, expect[:n])
+
+
+def test_binary_views_are_zero_copy_slices():
+    """binary_views hands out memoryviews INTO the Arrow data buffer (no
+    per-row copy), honouring chunk offsets, nulls and both offset widths."""
+    import pyarrow as pa
+
+    from engine.stages import binary_views
+
+    values = [b"RIFF....", None, b"", b"fLaC" * 3, b"x"]
+    for typ in (pa.large_binary(), pa.binary()):
+        arr = pa.array(values, typ)
+        col = pa.chunked_array([arr.slice(1), pa.array([], typ), arr.slice(0, 2)])
+        views = binary_views(col)
+        assert [None if v is None else bytes(v) for v in views] == values[1:] + values[:2]
+        data = arr.buffers()[2]
+        for v, want in zip(views, values[1:]):
+            if v is not None and len(v):
+                addr = np.frombuffer(v, dtype=np.uint8).ctypes.data
+                assert data.address <= addr < data.address + data.size
+                assert v[0] == want[0]          # unsigned bytes, as with bytes
+    assert binary_views(pa.chunked_array([], pa.large_binary())) == []
+
+
+def test_audio_stage_verdicts_match_bytes_payloads():
+    """AudioCheckStage on zero-copy views gives exactly the verdicts of
+    check_clip_audio on bytes copies, defects (truncated, garbled, wrong
+    duration, low SNR) included."""
+    from engine.data.clips import make_clips_batch
+    from engine.stages import AudioCheckStage
+
+    t = make_clips_batch({"id": np.arange(1500)}, seed=11)
+    out = AudioCheckStage()(t)
+    blobs = t.column("bytes").to_pylist()
+    want = [check_clip_audio(c, b, s, d, k) for c, b, s, d, k in zip(
+        t.column("clip_id").to_pylist(), blobs, t.column("sr_hz").to_pylist(),
+        t.column("dur_ms").to_pylist(), t.column("codec").to_pylist())]
+    meta_ok = out.column("meta_ok").to_pylist()
+    errors = out.column("audio_error").to_pylist()
+    assert {e.split(":")[0] for e in errors if e} >= {"decode", "low_snr",
+                                                       "duration_mismatch"}
+    for i, (w, ok) in enumerate(zip(want, meta_ok)):
+        if not ok:
+            continue
+        assert errors[i] == w["audio_error"], i
+        assert out.column("audio_ok")[i].as_py() == w["audio_ok"], i
+        snr = out.column("snr_db")[i].as_py()
+        assert (snr is None or snr != snr) if w["snr_db"] is None else snr == w["snr_db"], i

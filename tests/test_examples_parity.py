@@ -10,6 +10,7 @@ copied into this repo.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import pytest
@@ -19,6 +20,8 @@ REF = "/root/reference"
 
 @pytest.fixture(scope="module")
 def ref_api():
+    if not os.path.isdir(REF):
+        pytest.skip(f"reference checkout {REF} not present; parity needs both libraries")
     sys.path.insert(0, REF)
     try:
         from src.json_repair.json_repair import loads, repair_json
