@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from engine import joins
 
 
 def _half_away_round(x, decimals: int):
@@ -577,101 +578,40 @@ DIM_BROADCAST_MAX_ROWS = 8_000_000
 ORPHAN_REPORT_DRIVER_CAP = 1_000_000
 
 
-def _dim_code_lookup(ds, key_col: str, val_col: str):
-    """Compact key→value broadcast state for any dimension: a BroadcastMap
-    of int64 keys → dictionary codes plus the unique value strings —
-    ~9 bytes/row instead of a Python dict's ~100.  Arrow-native build
-    (iter_batches → concat → zero-copy factorize), never per-row Python."""
-    import pandas as pd
-
-    from engine.stages import BroadcastMap
-
-    parts = list(ds.iter_batches(batch_format="pyarrow", batch_size=65536))
-    if not parts:                # empty dimension: empty map, no values
-        return BroadcastMap(np.empty(0, dtype=np.int64),
-                            np.empty(0, dtype=np.int8)), []
-    t = pa.concat_tables(parts)
-    codes, uniques = pd.factorize(t.column(val_col).to_pandas())
-    values: list[str | None] = [str(u) for u in uniques]
-    if (codes < 0).any():
-        # factorize marks NULLs as -1; map them to an explicit None entry so
-        # lookups group them like SQL's GROUP BY (round-2 advice —
-        # uniq_arr.take(-1) would otherwise wrap/crash downstream).
-        codes = np.where(codes < 0, len(values), codes)
-        values.append(None)
-    # Code dtype sized to the dictionary: int8 silently wraps past 127
-    # distinct values (round-2 advice).
-    for dt in (np.int8, np.int16, np.int32):
-        if len(values) <= np.iinfo(dt).max:
-            break
-    bm = BroadcastMap(t.column(key_col).to_numpy(), codes.astype(dt))
-    return bm, values
-
-
-def _segment_lookup(cust_ds):
-    return _dim_code_lookup(cust_ds, "c_custkey", "c_mktsegment")
-
-
 def orders_per_segment(sf_dir: str):
-    """Dimension join, size-gated: broadcast the customer→segment lookup when
-    it is genuinely small (sorted-array + dict-codes, shipped once via
-    ray.put), else a partitioned hash join sized by ``shuffle_partitions``."""
-    import ray
-
-    from engine.stages import shuffle_partitions
-
+    """Orders per customer market segment: a dimension join through
+    ``engine.joins`` (broadcast customer → segment code, or the shuffle
+    join past the gate), per-batch counts, then the shared ``group_sums``
+    tail.  The report is a typed Arrow table, also on an empty corpus."""
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    if cust.count() <= DIM_BROADCAST_MAX_ROWS:
-        bm, uniques = _segment_lookup(cust)
-        lut_ref = ray.put(bm)
+    plan = joins.plan_dim_join(cust, "c_custkey", "c_mktsegment",
+                               max_rows=DIM_BROADCAST_MAX_ROWS,
+                               name="orders_per_segment")
+    if plan.broadcast:
+        lut, segments = plan.map_ref, pa.array(plan.values, pa.string())
 
         def tag(batch: pa.Table) -> pa.Table:
-            from engine.stages import _broadcast_from_ref
+            code, found = joins.lookup(lut, batch.column("o_custkey"))
+            uniq, sums = joins.sum_by_code(code[found], n=None)
+            return pa.table({"c_mktsegment": segments.take(uniq), "n": sums["n"]})
 
-            code, found = _broadcast_from_ref(lut_ref).lookup(
-                batch.column("o_custkey").to_numpy())
-            counts = np.bincount(code[found], minlength=len(uniques))
-            return pa.table({
-                "c_mktsegment": pa.array(uniques, pa.string()),
-                "n": pa.array(counts.astype(np.int64)),
-            })
-
-        tagged = orders.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+        partials = orders.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
     else:
-        joined = orders.join(
-            cust, join_type="inner",
-            num_partitions=shuffle_partitions(orders.count()),
-            on=("o_custkey",), right_on=("c_custkey",))
-
         def partial_counts(batch: pa.Table) -> pa.Table:
             vc = pc.value_counts(batch.column("c_mktsegment"))
             return pa.table({"c_mktsegment": pc.cast(vc.field("values"), pa.string()),
                              "n": vc.field("counts")})
 
-        tagged = joined.map_batches(partial_counts, batch_format="pyarrow",
-                                    zero_copy_batch=True)
+        partials = joins.shuffle_join(orders, "o_custkey", plan.build, "c_custkey",
+                                      orders.count()) \
+            .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
 
-    def to_state(batch: pa.Table) -> pa.Table:
-        st: dict[str, int] = {}
-        for k, v in zip(batch.column("c_mktsegment").to_pylist(),
-                        batch.column("n").to_numpy()):
-            st[k] = st.get(k, 0) + int(v)
-        return pa.table({"state": pa.array([json.dumps(st)], pa.large_string())})
-
-    from engine.stages import keyed_tree_reduce
-
-    # Keyed-tree-reduce finalize (see q1): 5 segments range-partitioned
-    # across N blocks would leave ~N-5 empty zero-column partitions.
-    merged = keyed_tree_reduce(
-        tagged.map_batches(to_state, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        lambda a, b: a + b)
-    keys = sorted(k for k, v in merged.items() if v > 0)
+    rows = joins.group_sums(partials, ["c_mktsegment"], ["n"]).take_all()
     return pa.table({
-        "c_mktsegment": pa.array(keys, pa.string()),
-        "order_cnt": pa.array([merged[k] for k in keys], pa.int64()),
+        "c_mktsegment": pa.array([r["c_mktsegment"] for r in rows], pa.string()),
+        "order_cnt": pa.array([r["n"] for r in rows], pa.int64()),
     })
 
 
@@ -4169,100 +4109,130 @@ SELECT rule, CAST(n AS BIGINT) AS n_checked,
 """
 
 
-# ------------------------------------------------------------- big-big join
+# ------------------------------------------------------- dimension joins
+
+
+# A (segment code, month) pair packed into one int64: the segment code in the
+# high 32 bits; in the low 32, the month index plus _MONTH_OFFSET, or 0 for a
+# NULL order date.
+_MONTH_STRIDE = 1 << 32
+_MONTH_OFFSET = 1 << 31
+
+
+def _month_index(dates) -> pa.Array:
+    """year * 12 + month - 1 of each date; NULL stays NULL."""
+    return pc.add(pc.multiply(pc.year(dates), 12), pc.subtract(pc.month(dates), 1))
+
+
+def _month_labels(index) -> pa.Array:
+    """strftime('%Y-%m') of month indexes; NULL stays NULL."""
+    return pa.array([None if m is None else f"{m // 12:04d}-{m % 12 + 1:02d}"
+                     for m in index.to_pylist()], pa.string())
+
+
+def _pack_segment_month(t: pa.Table) -> tuple[np.ndarray, list]:
+    """Build-side encoder of the order → (segment, month) map."""
+    seg, segments = joins.dictionary_codes(t.column("segment"))
+    month = t.column("month_idx")
+    low = np.where(np.asarray(pc.is_valid(month)),
+                   np.asarray(pc.fill_null(month, 0)).astype(np.int64) + _MONTH_OFFSET, 0)
+    return seg.astype(np.int64) * _MONTH_STRIDE + low, segments
 
 
 def revenue_by_segment_day(sf_dir: str):
-    """lineitem ⋈ orders (big-big hash-shuffle join) + broadcast customer
-    segment lookup; revenue per (segment, order month).
+    """lineitem ⋈ orders ⋈ customer: revenue per (segment, order month),
+    as two dimension joins through ``engine.joins``.
 
-    The join shuffles only the projected key/measure columns; the small
-    customer side is broadcast, not shuffled.
+    Under the gate both broadcast.  Customer → segment code tags each order
+    with its segment and month index (``pc.year``/``pc.month``); the
+    orders-side map then takes ``o_orderkey`` to one packed (segment code,
+    month) int64, so each lineitem batch needs one lookup, its half-away
+    cents and an ``np.unique`` + ``bincount`` combiner — no shuffle join.
+    A side the planner does not broadcast takes the partitioned hash join;
+    lineitem is then combined per order key before the exchange.
     """
-    import ray
-
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     line = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def line_partial(batch: pa.Table) -> pa.Table:
-        # Combiner before the shuffle: lineitem is clustered by orderkey, so
-        # summing cents (and carrying the item count) within the batch cuts
-        # the join probe side ~4x for free — no extra exchange.
-        keys = batch.column("l_orderkey").to_numpy()
-        cents = _half_away_cents(batch.column("l_extendedprice").to_numpy()
-                                 * (1.0 - batch.column("l_discount").to_numpy()))
-        uniq, inv = np.unique(keys, return_inverse=True)
-        return pa.table({
-            "o_orderkey": pa.array(uniq),
-            "rev_c": pa.array(np.bincount(inv, weights=cents).astype(np.int64)),
-            "n_items": pa.array(np.bincount(inv).astype(np.int64)),
-        })
-
-    from engine.stages import shuffle_partitions
-
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+    name = "revenue_by_segment_day"
 
-    if cust.count() <= DIM_BROADCAST_MAX_ROWS:
-        bm, uniques = _segment_lookup(cust)
-        lut_ref = ray.put(bm)
-        uniq_arr = pa.array(uniques, pa.string())
+    cust_plan = joins.plan_dim_join(cust, "c_custkey", "c_mktsegment",
+                                    max_rows=DIM_BROADCAST_MAX_ROWS, name=name)
+    if cust_plan.broadcast:
+        cust_lut = cust_plan.map_ref
+        cust_segments = pa.array(cust_plan.values, pa.string())
 
-        def order_tag(batch: pa.Table) -> pa.Table:
-            from engine.stages import _broadcast_from_ref
-
-            code, found = _broadcast_from_ref(lut_ref).lookup(
-                batch.column("o_custkey").to_numpy())
-            months = pc.strftime(batch.column("o_orderdate"), format="%Y-%m")
+        def tag_orders(batch: pa.Table) -> pa.Table:
+            code, found = joins.lookup(cust_lut, batch.column("o_custkey"))
             keep = pa.array(found)
-            # Inner-join semantics: drop orders with no matching customer.
             return pa.table({
                 "o_orderkey": batch.column("o_orderkey").filter(keep),
-                "segment": uniq_arr.take(pa.array(code[found].astype(np.int32))),
-                "month": months.filter(keep),
+                "segment": cust_segments.take(code[found]),
+                "month_idx": _month_index(batch.column("o_orderdate")).filter(keep),
             })
 
-        tagged_orders = orders.map_batches(order_tag, batch_format="pyarrow",
-                                           zero_copy_batch=True)
+        tagged = orders.map_batches(tag_orders, batch_format="pyarrow", zero_copy_batch=True)
     else:
-        # Dimension too large to broadcast: partitioned hash join instead.
-        joined_orders = orders.join(
-            cust, join_type="inner",
-            num_partitions=shuffle_partitions(orders.count()),
-            on=("o_custkey",), right_on=("c_custkey",))
-        tagged_orders = joined_orders.map_batches(
-            lambda t: pa.table({
-                "o_orderkey": t.column("o_orderkey"),
-                "segment": t.column("c_mktsegment"),
-                "month": pc.strftime(t.column("o_orderdate"), format="%Y-%m"),
-            }), batch_format="pyarrow", zero_copy_batch=True)
+        tagged = joins.shuffle_join(orders, "o_custkey", cust_plan.build, "c_custkey",
+                                    orders.count()).map_batches(
+            lambda t: pa.table({"o_orderkey": t.column("o_orderkey"),
+                                "segment": t.column("c_mktsegment"),
+                                "month_idx": _month_index(t.column("o_orderdate"))}),
+            batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = line.map_batches(line_partial, batch_format="pyarrow", zero_copy_batch=True).join(
-        tagged_orders,
-        join_type="inner", num_partitions=shuffle_partitions(line.count()),
-        on=("o_orderkey",),
-    )
+    order_plan = joins.plan_dim_join(tagged, "o_orderkey", _pack_segment_month,
+                                     max_rows=DIM_BROADCAST_MAX_ROWS, name=name)
+    if order_plan.broadcast:
+        order_lut = order_plan.map_ref
+        segments = pa.array(order_plan.values, pa.string())
 
-    def agg_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["segment", "month", "n_items", "rev_c"]) \
-            .group_by(["segment", "month"], use_threads=False) \
-            .aggregate([("n_items", "sum"), ("rev_c", "sum")])
-        return pa.table({"segment": g.column("segment"),
-                         "month": g.column("month"),
-                         "n": g.column("n_items_sum"),
-                         "rev_c": g.column("rev_c_sum")})
+        def partial(batch: pa.Table) -> pa.Table:
+            packed, found = joins.lookup(order_lut, batch.column("l_orderkey"))
+            cents = _half_away_cents(batch.column("l_extendedprice").to_numpy()
+                                     * (1.0 - batch.column("l_discount").to_numpy()))
+            uniq, sums = joins.sum_by_code(packed[found], n=None, rev_c=cents[found])
+            low = uniq % _MONTH_STRIDE
+            return pa.table({
+                "segment": segments.take(uniq // _MONTH_STRIDE),
+                "month": _month_labels(pa.array(low - _MONTH_OFFSET, mask=low == 0)),
+                "n": sums["n"], "rev_c": sums["rev_c"],
+            })
+
+        partials = line.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    else:
+        def line_partial(batch: pa.Table) -> pa.Table:
+            # Combiner before the shuffle: lineitem is clustered by orderkey,
+            # so summing cents per order within the batch cuts the join's
+            # probe side ~4x for free.
+            batch = joins.valid_keys(batch, "l_orderkey")
+            cents = _half_away_cents(batch.column("l_extendedprice").to_numpy()
+                                     * (1.0 - batch.column("l_discount").to_numpy()))
+            uniq, sums = joins.sum_by_code(batch.column("l_orderkey").to_numpy(),
+                                           n=None, rev_c=cents)
+            return pa.table({"o_orderkey": uniq, "n": sums["n"], "rev_c": sums["rev_c"]})
+
+        def agg_partial(batch: pa.Table) -> pa.Table:
+            g = batch.group_by(["segment", "month_idx"], use_threads=False) \
+                .aggregate([("n", "sum"), ("rev_c", "sum")])
+            return pa.table({"segment": g.column("segment"),
+                             "month": _month_labels(g.column("month_idx")),
+                             "n": g.column("n_sum"), "rev_c": g.column("rev_c_sum")})
+
+        partials = joins.shuffle_join(
+            line.map_batches(line_partial, batch_format="pyarrow", zero_copy_batch=True),
+            "o_orderkey", order_plan.build, "o_orderkey", line.count()) \
+            .map_batches(agg_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     def finalize(batch: pa.Table) -> pa.Table:
         return pa.table({
             "segment": batch.column("segment"),
             "month": batch.column("month"),
-            "n_items": batch.column("sum(n)"),
-            "revenue": pa.array(_half_away_round(batch.column("sum(rev_c)").to_numpy() / 100.0, 2)),
+            "n_items": batch.column("n"),
+            "revenue": pa.array(_half_away_round(batch.column("rev_c").to_numpy() / 100.0, 2)),
         })
 
-    return joined.map_batches(agg_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["segment", "month"]).sum(["n", "rev_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True) \
-        .sort(["segment", "month"])
+    return joins.group_sums(partials, ["segment", "month"], ["n", "rev_c"]) \
+        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 REVENUE_SQL = """
@@ -4276,83 +4246,56 @@ GROUP BY segment, month ORDER BY segment, month
 
 
 def revenue_by_brand(sf_dir: str):
-    """lineitem ⋈ part revenue per brand (TPC-H Q14 flavour) — the
-    part-table dimension join.  The part side is a size-gated broadcast
-    (BroadcastMap int keys → brand codes); brands are low-cardinality so
-    the exchange is #batches × #brands partial rows.  Past the gate the
-    join path shuffles (partkey, cents) partials instead.
+    """lineitem ⋈ part revenue per brand (TPC-H Q14 flavour): a dimension
+    join through ``engine.joins``.  Broadcast looks each batch's part keys
+    up in the part → brand map and emits #brands partial rows; the shuffle
+    join exchanges (partkey, cents) partials combined per batch instead.
     """
-    import ray
-
-    from engine.stages import shuffle_partitions
-
     part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"])
     line = _read(sf_dir, "lineitem",
                  columns=["l_partkey", "l_extendedprice", "l_discount"])
 
+    def cents(batch: pa.Table) -> np.ndarray:
+        return _half_away_cents(batch.column("l_extendedprice").to_numpy()
+                                * (1.0 - batch.column("l_discount").to_numpy()))
+
+    plan = joins.plan_dim_join(part, "p_partkey", "p_brand",
+                               max_rows=DIM_BROADCAST_MAX_ROWS, name="revenue_by_brand")
+    if plan.broadcast:
+        lut, brands = plan.map_ref, pa.array(plan.values, pa.string())
+
+        def partial(batch: pa.Table) -> pa.Table:
+            code, found = joins.lookup(lut, batch.column("l_partkey"))
+            uniq, sums = joins.sum_by_code(code[found], n=None, rev_c=cents(batch)[found])
+            return pa.table({"brand": brands.take(uniq), "n": sums["n"],
+                             "rev_c": sums["rev_c"]})
+
+        partials = line.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    else:
+        def line_partial(batch: pa.Table) -> pa.Table:
+            batch = joins.valid_keys(batch, "l_partkey")
+            uniq, sums = joins.sum_by_code(batch.column("l_partkey").to_numpy(),
+                                           n=None, rev_c=cents(batch))
+            return pa.table({"p_partkey": uniq, "n": sums["n"], "rev_c": sums["rev_c"]})
+
+        partials = joins.shuffle_join(
+            line.map_batches(line_partial, batch_format="pyarrow", zero_copy_batch=True),
+            "p_partkey", plan.build, "p_partkey", line.count()) \
+            .map_batches(lambda t: pa.table({"brand": t.column("p_brand"),
+                                             "n": t.column("n"),
+                                             "rev_c": t.column("rev_c")}),
+                         batch_format="pyarrow", zero_copy_batch=True)
+
     def finalize(batch: pa.Table) -> pa.Table:
         return pa.table({
             "brand": batch.column("brand"),
-            "n_items": batch.column("sum(n)"),
+            "n_items": batch.column("n"),
             "revenue": pa.array(_half_away_round(
-                batch.column("sum(rev_c)").to_numpy() / 100.0, 2)),
+                batch.column("rev_c").to_numpy() / 100.0, 2)),
         })
 
-    if part.count() <= DIM_BROADCAST_MAX_ROWS:
-        bm, brands = _dim_code_lookup(part, "p_partkey", "p_brand")
-        lut_ref = ray.put(bm)
-        brand_arr = pa.array(brands, pa.string())
-
-        def partial(batch: pa.Table) -> pa.Table:
-            from engine.stages import _broadcast_from_ref
-
-            code, found = _broadcast_from_ref(lut_ref).lookup(
-                batch.column("l_partkey").to_numpy())
-            cents = _half_away_cents(
-                batch.column("l_extendedprice").to_numpy()
-                * (1.0 - batch.column("l_discount").to_numpy()))
-            code, cents = code[found], cents[found]   # inner-join semantics
-            n_brands = len(brand_arr)
-            rev = np.bincount(code, weights=cents, minlength=n_brands)
-            cnt = np.bincount(code, minlength=n_brands)
-            hit = cnt > 0
-            return pa.table({
-                "brand": brand_arr.take(pa.array(np.flatnonzero(hit).astype(np.int32))),
-                "rev_c": pa.array(rev[hit].astype(np.int64)),
-                "n": pa.array(cnt[hit].astype(np.int64)),
-            })
-
-        partials = line.map_batches(partial, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    else:
-        def line_partial(batch: pa.Table) -> pa.Table:
-            keys = batch.column("l_partkey").to_numpy()
-            cents = _half_away_cents(
-                batch.column("l_extendedprice").to_numpy()
-                * (1.0 - batch.column("l_discount").to_numpy()))
-            uniq, inv = np.unique(keys, return_inverse=True)
-            return pa.table({
-                "p_partkey": pa.array(uniq),
-                "rev_c": pa.array(np.bincount(inv, weights=cents).astype(np.int64)),
-                "n": pa.array(np.bincount(inv).astype(np.int64)),
-            })
-
-        partials = line.map_batches(line_partial, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .join(part, join_type="inner",
-                  num_partitions=shuffle_partitions(line.count()),
-                  on=("p_partkey",)) \
-            .map_batches(
-                lambda t: pa.table({"brand": t.column("p_brand"),
-                                    "rev_c": t.column("rev_c"),
-                                    "n": t.column("n")}),
-                batch_format="pyarrow", zero_copy_batch=True)
-
-    # ONE shared aggregate tail for both gate paths (a duplicated tail can
-    # silently diverge — the structure the gate-parity test protects).
-    return partials.groupby("brand").sum(["n", "rev_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True) \
-        .sort("brand")
+    return joins.group_sums(partials, ["brand"], ["n", "rev_c"]) \
+        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 REVENUE_BY_BRAND_SQL = """

@@ -854,15 +854,6 @@ class BroadcastMap:
         self.keys = np.ascontiguousarray(keys[order])
         self.values = np.ascontiguousarray(values[order])
 
-    @classmethod
-    def from_dataset(cls, ds, key_col: str, val_col: str) -> "BroadcastMap":
-        parts = list(ds.select_columns([key_col, val_col]).iter_batches(
-            batch_format="pyarrow", batch_size=65536))
-        t = pa.concat_tables(parts) if parts else pa.table(
-            {key_col: pa.array([], pa.int64()), val_col: pa.array([], pa.string())})
-        return cls(t.column(key_col).to_numpy(zero_copy_only=False),
-                   t.column(val_col).to_numpy(zero_copy_only=False))
-
     def lookup(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (values, found_mask); values at missing keys are arbitrary."""
         if self.keys.size == 0:

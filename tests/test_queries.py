@@ -125,24 +125,164 @@ def test_tdigest_close_to_exact(ray_session, oracle_con):
     assert abs(got["p50"][0] - true_p50) <= 1.0
 
 
-def test_dim_join_gate_paths_agree(ray_session, monkeypatch):
-    """Round-1 VERDICT finding 4: the broadcast-vs-join gate must be enforced
-    in code.  Forcing the gate to 0 rows flips both segment queries onto the
-    hash-join path; results must match the broadcast path exactly."""
+DIM_JOIN_USERS = ["orders_per_segment", "revenue_by_segment_day", "revenue_by_brand"]
+
+
+@pytest.mark.parametrize("name", DIM_JOIN_USERS)
+def test_dim_join_gate_paths_agree(name, ray_session, monkeypatch):
+    """The join planner's two strategies must give the same result: a gate
+    of 0 rows forces every join of the query onto the shuffle join."""
     from engine import queries as q
     from tools.check_oracles import canonical_hash, to_pandas
 
-    def run_both(fn):
-        broadcast = to_pandas(fn(SF_DIR))
-        monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
-        joined = to_pandas(fn(SF_DIR))
-        monkeypatch.undo()
-        return broadcast, joined
+    fn = getattr(q, name)
+    broadcast = to_pandas(fn(SF_DIR))
+    monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
+    shuffled = to_pandas(fn(SF_DIR))
+    assert len(broadcast) == len(shuffled) > 0
+    assert canonical_hash(broadcast) == canonical_hash(shuffled)
 
-    for fn in (q.orders_per_segment, q.revenue_by_segment_day):
-        b, j = run_both(fn)
-        assert len(b) == len(j) > 0
-        assert canonical_hash(b) == canonical_hash(j)
+
+def _write_dim_tables(d, customer: dict, orders: dict, lineitem: dict, part: dict):
+    """Small TPC-H-shaped tables for the dimension-join queries, plus a
+    DuckDB connection over them."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    types = {"c_custkey": pa.int64(), "c_mktsegment": pa.string(),
+             "o_orderkey": pa.int64(), "o_custkey": pa.int64(),
+             "o_orderdate": pa.timestamp("us"),
+             "l_orderkey": pa.int64(), "l_partkey": pa.int64(),
+             "l_extendedprice": pa.float64(), "l_discount": pa.float64(),
+             "p_partkey": pa.int64(), "p_brand": pa.string()}
+    con = duckdb.connect()
+    for t, cols in (("customer", customer), ("orders", orders),
+                    ("lineitem", lineitem), ("part", part)):
+        pq.write_table(pa.table({c: pa.array(v, types[c]) for c, v in cols.items()}),
+                       str(d / f"{t}.parquet"))
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')")
+    return con
+
+
+def _dates(*days):
+    import datetime as dt
+
+    return [None if x is None else dt.datetime(1995, 1, 1) + dt.timedelta(days=x)
+            for x in days]
+
+
+def _assert_dim_query_matches_oracle(name, d, con):
+    import __ray_entry__ as entrymod
+    from tools.check_oracles import canonical_hash, to_pandas
+
+    mine = to_pandas(entrymod.queries()[name](str(d)))
+    want = con.sql(entrymod.oracle_sql()[name]).df()
+    assert sorted(mine.columns) == sorted(want.columns)
+    assert len(mine) == len(want)
+    assert canonical_hash(mine) == canonical_hash(want), (mine, want)
+
+
+@pytest.mark.parametrize("gate", ["default", "zero"])
+@pytest.mark.parametrize("name", DIM_JOIN_USERS)
+def test_dim_join_duplicate_keys_fan_out_like_sql(name, gate, ray_session,
+                                                  monkeypatch, tmp_path):
+    """A build key that repeats joins a probe row with every build row, as
+    in SQL: customer 2 is in segments C and D, order 12 appears twice, part
+    101 has brands Y and Z.  A broadcast map would keep one of each."""
+    from engine import queries as q
+
+    con = _write_dim_tables(
+        tmp_path,
+        customer={"c_custkey": [1, 2, 2], "c_mktsegment": ["A", "C", "D"]},
+        orders={"o_orderkey": [10, 11, 12, 12], "o_custkey": [1, 2, 1, 2],
+                "o_orderdate": _dates(0, 40, 80, 120)},
+        lineitem={"l_orderkey": [10, 11, 12, 12], "l_partkey": [100, 101, 101, 100],
+                  "l_extendedprice": [10.0, 20.5, 30.25, 40.0],
+                  "l_discount": [0.0, 0.1, 0.05, 0.0]},
+        part={"p_partkey": [100, 101, 101], "p_brand": ["X", "Y", "Z"]})
+    if gate == "zero":
+        monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
+    _assert_dim_query_matches_oracle(name, tmp_path, con)
+
+
+@pytest.mark.parametrize("gate", ["default", "zero"])
+@pytest.mark.parametrize("name", DIM_JOIN_USERS)
+def test_dim_join_nulls_follow_sql(name, gate, ray_session, monkeypatch, tmp_path):
+    """NULL join keys match nothing on either strategy, not even key 0; a
+    NULL segment, brand or order date groups as NULL."""
+    from engine import queries as q
+
+    con = _write_dim_tables(
+        tmp_path,
+        customer={"c_custkey": [0, 1, 2, 3, None],
+                  "c_mktsegment": ["Z", "A", None, "B", "E"]},
+        orders={"o_orderkey": [0, 10, 11, 12, 13, None],
+                "o_custkey": [0, 1, 2, None, 3, 1],
+                "o_orderdate": _dates(200, 0, 40, 80, None, 0)},
+        lineitem={"l_orderkey": [10, 11, 12, 13, None, 10, 13, 0],
+                  "l_partkey": [100, None, 101, 102, 100, 103, 101, 0],
+                  "l_extendedprice": [10.0, 20.5, 30.25, 40.0, 50.0, 60.0, 70.0, 5.0],
+                  "l_discount": [0.0, 0.1, 0.05, 0.0, 0.0, 0.02, 0.0, 0.0]},
+        part={"p_partkey": [0, 100, 101, 102, None],
+              "p_brand": ["V", "X", None, "Y", "W"]})
+    if gate == "zero":
+        monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
+    _assert_dim_query_matches_oracle(name, tmp_path, con)
+
+
+def test_group_sums_rounds_keep_null_groups(ray_session):
+    """More blocks than one task combines force a combine round; NULL and
+    the empty string stay two groups, and NULLs sort last."""
+    import ray.data
+
+    from engine import joins
+
+    rng = np.random.default_rng(3)
+    segs = np.array(["A", "B", None, ""], dtype=object)
+    months = np.array(["1995-01", None, "1996-12"], dtype=object)
+    blocks = [pa.table({"seg": pa.array(segs[rng.integers(0, 4, 30)], pa.string()),
+                        "month": pa.array(months[rng.integers(0, 3, 30)], pa.string()),
+                        "n": pa.array(rng.integers(0, 100, 30), pa.int64())})
+              for _ in range(2 * joins.GROUP_FAN_IN + 5)]
+    blocks.append(blocks[0].slice(0, 0))
+    out = joins.group_sums(ray.data.from_arrow(blocks), ["seg", "month"], ["n"]).materialize()
+    g = pa.concat_tables(blocks).group_by(["seg", "month"]).aggregate([("n", "sum")])
+    want = pa.table({"seg": g.column("seg"), "month": g.column("month"),
+                     "n": g.column("n_sum")}) \
+        .sort_by([("seg", "ascending"), ("month", "ascending")])
+    assert out.num_blocks() == 1
+    assert out.take_all() == want.to_pylist()
+    assert want.num_rows == 12
+
+
+def test_dim_join_logs_its_strategy(ray_session, monkeypatch, caplog, tmp_path):
+    """One INFO record per join on ``engine.joins``: the strategy, the
+    build-side rows and the reason."""
+    import logging
+
+    from engine import queries as q
+
+    caplog.set_level(logging.INFO, logger="engine.joins")
+
+    def planned(sf_dir):
+        caplog.clear()
+        q.orders_per_segment(sf_dir)
+        return [r.getMessage() for r in caplog.records if r.name == "engine.joins"]
+
+    assert planned(SF_DIR) == [
+        "orders_per_segment: broadcast join, build side 150 rows (under gate)"]
+    _write_dim_tables(
+        tmp_path,
+        customer={"c_custkey": [1, 2, 2], "c_mktsegment": ["A", "C", "D"]},
+        orders={"o_orderkey": [10], "o_custkey": [2], "o_orderdate": _dates(0)},
+        lineitem={"l_orderkey": [10], "l_partkey": [100],
+                  "l_extendedprice": [1.0], "l_discount": [0.0]},
+        part={"p_partkey": [100], "p_brand": ["X"]})
+    assert planned(str(tmp_path)) == [
+        "orders_per_segment: shuffle join, build side 3 rows (duplicate keys)"]
+    monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
+    assert planned(SF_DIR) == [
+        "orders_per_segment: shuffle join, build side 150 rows (over gate)"]
 
 
 @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf"), None])
@@ -214,13 +354,13 @@ def test_orphan_orders_scale_path_streams(ray_session, monkeypatch, tmp_path):
     assert broadcast["o_orderkey"].tolist() == scale["o_orderkey"].tolist()
 
 
-def test_segment_lookup_wide_dictionary_and_nulls(ray_session):
-    """Round-2 advice: >127 distinct segments must not wrap the int8 code
-    dtype, and NULL segments (factorize code -1) must group as None instead
-    of indexing position -1."""
+def test_dim_map_wide_dictionary_and_nulls(ray_session):
+    """More than 127 distinct values must not wrap the int8 code dtype; a
+    NULL value is a value of its own; a NULL probe key is never found."""
+    import ray
     import ray.data
 
-    from engine.queries import _segment_lookup
+    from engine import joins
 
     n_seg = 300                                  # needs int16 codes
     keys = list(range(n_seg + 1))
@@ -229,13 +369,14 @@ def test_segment_lookup_wide_dictionary_and_nulls(ray_session):
         "c_custkey": pa.array(keys, pa.int64()),
         "c_mktsegment": pa.array(segs, pa.string()),
     }))
-    bm, uniques = _segment_lookup(ds)
-    assert bm.values.dtype == np.int16
-    assert uniques[-1] is None and len(uniques) == n_seg + 1
-    codes, found = bm.lookup(np.array(keys, dtype=np.int64))
-    assert found.all()
-    got = [uniques[c] for c in codes]
-    assert got == segs                           # every code round-trips
+    plan = joins.plan_dim_join(ds, "c_custkey", "c_mktsegment",
+                               max_rows=10_000, name="wide")
+    assert plan.broadcast and plan.rows == n_seg + 1
+    assert ray.get(plan.map_ref).values.dtype == np.int16
+    assert None in plan.values and len(plan.values) == n_seg + 1
+    codes, found = joins.lookup(plan.map_ref, pa.array(keys + [None, 10_000], pa.int64()))
+    assert found.tolist() == [True] * len(keys) + [False, False]
+    assert [plan.values[c] for c in codes[found]] == segs   # every code round-trips
 
 
 def test_sessionize_two_stage_mega_user(ray_session):
@@ -591,19 +732,6 @@ def test_orphan_orders_all_orphan_stays_streaming(ray_session, tmp_path,
     out = q.orphan_orders(str(tmp_path))
     assert isinstance(out, pa.Table) and out.num_rows == n
     assert out.column("o_orderkey").to_pylist() == list(range(n))
-
-
-def test_revenue_by_brand_gate_paths_agree(ray_session, monkeypatch):
-    """Broadcast and join paths of the part-dimension revenue query must
-    produce identical results (same gate contract as the segment joins)."""
-    from engine import queries as q
-    from tools.check_oracles import canonical_hash, to_pandas
-
-    broadcast = to_pandas(q.revenue_by_brand(SF_DIR))
-    monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
-    joined = to_pandas(q.revenue_by_brand(SF_DIR))
-    assert len(broadcast) == len(joined) > 0
-    assert canonical_hash(broadcast) == canonical_hash(joined)
 
 
 def test_except_query_finds_planted_nonpurchasers(ray_session, tmp_path):
