@@ -26,8 +26,6 @@ comparisons follow SQL WHERE semantics (NULL is not a violation) except
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -65,8 +63,8 @@ def _rule_mask(rule: dict, batch: pa.Table) -> pa.Array:
 
 class ConstraintSuite:
     """A compiled rule set: per-batch violation rows + associative summary
-    partials (run it inside ``map_batches``; merge partials with
-    keyed_tree_reduce)."""
+    partials (run it inside ``map_batches``; ``summary_table`` sums them with
+    ``stages.group_aggregate``)."""
 
     def __init__(self, rules: list[dict], key_cols: list[str]) -> None:
         names = [r["name"] for r in rules]
@@ -104,26 +102,23 @@ class ConstraintSuite:
             return self.violations_batch(batch)
         return fn
 
-    def summary_stage(self):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table({"state": pa.array(
-                [json.dumps(self.summary_partial(batch))],
-                pa.large_string())})
-        return fn
-
     def summary_table(self, ds) -> pa.Table:
         """One streaming pass -> (rule, n_checked, n_violations) table."""
-        from engine.stages import keyed_tree_reduce
+        from engine.stages import group_aggregate
 
-        merged = keyed_tree_reduce(
-            ds.map_batches(self.summary_stage(), batch_format="pyarrow",
-                           zero_copy_batch=True),
-            lambda a, b: [a[0] + b[0], a[1] + b[1]])
-        names = sorted(r["name"] for r in self.rules)
-        return pa.table({
-            "rule": pa.array(names, pa.string()),
-            "n_checked": pa.array(
-                [int(merged.get(n, [0, 0])[0]) for n in names], pa.int64()),
-            "n_violations": pa.array(
-                [int(merged.get(n, [0, 0])[1]) for n in names], pa.int64()),
-        })
+        schema = pa.schema([("rule", pa.string()), ("n_checked", pa.int64()),
+                            ("n_violations", pa.int64())])
+
+        def partial(batch: pa.Table) -> pa.Table:
+            return pa.Table.from_pylist(
+                [{"rule": r, "n_checked": c, "n_violations": v}
+                 for r, (c, v) in self.summary_partial(batch).items()], schema=schema)
+
+        g = group_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            ["rule"], {"n_checked": "sum", "n_violations": "sum"}, schema)
+        # An empty input has no partial rows: every rule then reports 0, 0.
+        merged = {r["rule"]: r for r in g.to_pylist()}
+        return pa.Table.from_pylist(
+            [merged.get(n, {"rule": n, "n_checked": 0, "n_violations": 0})
+             for n in sorted(r["name"] for r in self.rules)], schema=schema)

@@ -31,7 +31,8 @@ Each plan logs one INFO record on the ``engine.joins`` logger naming the
 join, the strategy, the build-side rows and the reason: ``under gate``,
 ``over gate`` or ``duplicate keys``.
 
-``group_sums`` is the grouped tail the planner's users share.
+The planner's users finish with ``stages.group_aggregate``, which groups
+NULL values as SQL does.
 """
 
 from __future__ import annotations
@@ -167,32 +168,3 @@ def shuffle_join(probe, probe_key: str, build, build_key: str, probe_rows: int):
                       num_partitions=shuffle_partitions(probe_rows),
                       on=(probe_key,), right_on=(build_key,))
 
-
-# Blocks one task of group_sums combines.
-GROUP_FAN_IN = 64
-
-
-def group_sums(partials, keys: list[str], sums: list[str]):
-    """Sum ``sums`` per ``keys`` group over per-batch partial rows, a NULL
-    key grouping as SQL's GROUP BY does.  Returns ONE block, sorted by
-    ``keys`` with NULLs last (SQL's default order), columns ``keys + sums``.
-
-    Arrow hash aggregates in workers, in rounds: each task packs up to
-    ``GROUP_FAN_IN`` blocks into one, until at most that many remain for the
-    last task.  A task takes at most ``GROUP_FAN_IN`` x groups rows and the
-    driver only counts blocks.  (Ray's sort-based groupby and sort compare keys in
-    Python, where ``None < str`` raises.)
-    """
-    def combine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(keys, use_threads=False).aggregate([(s, "sum") for s in sums])
-        return pa.table({**{k: g.column(k) for k in keys},
-                         **{s: g.column(f"{s}_sum") for s in sums}})
-
-    def combine_round(ds, fn):
-        return ds.repartition(max(1, -(-ds.num_blocks() // GROUP_FAN_IN))).map_batches(
-            fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True)
-
-    ds = partials.materialize()
-    while ds.num_blocks() > GROUP_FAN_IN:
-        ds = combine_round(ds, combine).materialize()
-    return combine_round(ds, lambda t: combine(t).sort_by([(k, "ascending") for k in keys]))

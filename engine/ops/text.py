@@ -625,7 +625,7 @@ def heavy_hitter_terms(docs_ds, *, k: int = 10, capacity: int = 4096,
     Pass 1 streams one Misra-Gries partial state per batch (bounded:
     ``capacity`` pairs each) through the bounded tree reduction.  Pass 2
     broadcasts a candidate subset of the merged summary's terms and
-    EXACT-counts only those (keyed tree reduce of per-batch counts).
+    EXACT-counts only those (``group_aggregate`` of their occurrences).
 
     Candidate pre-cut: a summary term's estimate ``est`` undercounts its
     true count by at most ``err = (N - S)/(capacity + 1)``, and the true
@@ -658,7 +658,7 @@ def heavy_hitter_terms(docs_ds, *, k: int = 10, capacity: int = 4096,
     import ray
 
     from engine.checks.sketches import MisraGries
-    from engine.stages import _broadcast_from_ref, keyed_tree_reduce, \
+    from engine.stages import _broadcast_from_ref, group_aggregate, \
         tree_reduce_states
 
     def mg_partial(batch: pa.Table) -> pa.Table:
@@ -695,21 +695,21 @@ def heavy_hitter_terms(docs_ds, *, k: int = 10, capacity: int = 4096,
     s_total = sum(summary.counts.values())
 
     def count_terms(cand_ref) -> dict[str, int]:
-        def exact_partial(batch: pa.Table) -> pa.Table:
+        def candidate_terms(batch: pa.Table) -> pa.Table:
             cset = (_broadcast_from_ref(cand_ref)
                     if cand_ref is not None else None)
-            st: dict[str, int] = {}
-            for t in batch.column(text_col).to_pylist():
-                for w in TOKEN_RE.findall(t or ""):
-                    if cset is None or w in cset:
-                        st[w] = st.get(w, 0) + 1
-            return pa.table({"state": pa.array([_json.dumps(st)],
-                                               pa.large_string())})
+            terms = [w for t in batch.column(text_col).to_pylist()
+                     for w in TOKEN_RE.findall(t or "")
+                     if cset is None or w in cset]
+            return pa.table({"term": pa.array(terms, pa.string()),
+                             "cnt": pa.array(np.ones(len(terms), np.int64))})
 
-        return keyed_tree_reduce(
-            docs_ds.map_batches(exact_partial, batch_format="pyarrow",
+        g = group_aggregate(
+            docs_ds.map_batches(candidate_terms, batch_format="pyarrow",
                                 zero_copy_batch=True),
-            lambda a, b: a + b)
+            ["term"], {"cnt": "sum"},
+            pa.schema([("term", pa.string()), ("cnt", pa.int64())]))
+        return dict(zip(g.column("term").to_pylist(), g.column("cnt").to_pylist()))
 
     # Candidate pre-cut (mergeable-MG error bound): for every summary term
     # 0 ≤ true - est ≤ err with err = (N - S)/(capacity + 1), and the true

@@ -9,8 +9,10 @@ hash-stable against a single-process SQL engine:
   - derived ratios are computed from those exact ints, then rounded;
   - cosine similarities are rounded after widening to float64 on both sides.
 
-Every groupby here pre-aggregates inside ``map_batches`` (combiner pattern)
-so the shuffle moves #batches x #groups partial rows, not raw rows.
+A low-cardinality grouped report ends in ``stages.group_aggregate``: each
+batch collapses to its groups where it is read, so only #batches x #groups
+partial rows move.  The remaining Ray groupbys (high-cardinality keys) are
+fed by the same per-batch combiners.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from engine import joins
+from engine.stages import group_aggregate
+
+
+def _ones(n: int) -> pa.Array:
+    """A row-count column: its ``group_aggregate`` "sum" is COUNT(*)."""
+    return pa.array(np.ones(n, np.int64))
 
 
 def _half_away_round(x, decimals: int):
@@ -50,10 +58,12 @@ def _read(sf_dir: str, table: str, columns=None):
 
 
 def q1_pricing_summary(sf_dir: str):
+    """TPC-H Q1: integer-cent sums per (returnflag, linestatus) through
+    ``group_aggregate``; the report's ratios come from the exact sums."""
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         # Loud guard: NaN.astype(int64) is INT64_MIN — silent corruption vs
         # SQL null semantics.  This corpus is null-free by contract; refuse
         # rather than corrupt if that changes.
@@ -62,53 +72,31 @@ def q1_pricing_summary(sf_dir: str):
                 raise NotImplementedError(
                     f"q1 assumes null-free {c}; SQL-null aggregation semantics "
                     "are not implemented in this query")
-        # Arrow-native combiner: one hash-aggregate kernel per batch, no
-        # pandas object-dtype hop (round-4 VERDICT efficiency item 3).
-        pairs = pa.table({
+        price = batch.column("l_extendedprice").to_numpy()
+        return pa.table({
             "l_returnflag": batch.column("l_returnflag"),
             "l_linestatus": batch.column("l_linestatus"),
             "qty": pa.array(batch.column("l_quantity").to_numpy().astype(np.int64)),
-            "price_c": pa.array(_half_away_cents(batch.column("l_extendedprice").to_numpy())),
-            "disc_c": pa.array(_half_away_cents(
-                batch.column("l_extendedprice").to_numpy()
-                * (1.0 - batch.column("l_discount").to_numpy()))),
+            "price_c": pa.array(_half_away_cents(price)),
+            "disc_c": pa.array(_half_away_cents(price * (1.0 - batch.column("l_discount").to_numpy()))),
+            "n": _ones(batch.num_rows),
         })
-        g = pairs.group_by(["l_returnflag", "l_linestatus"], use_threads=False) \
-            .aggregate([("qty", "sum"), ("price_c", "sum"), ("disc_c", "sum"),
-                        ([], "count_all")])
-        # One JSON state row per batch: the final merge is a keyed tree
-        # reduction, not a 6-key groupby (whose mostly-empty range
-        # partitions emit the zero-column blocks behind the RefBundle
-        # schema warnings — same fix as distinct_users_by_type).
-        st = {f"{rf}\x1f{ls}": [qty, price, disc, cnt]
-              for rf, ls, qty, price, disc, cnt in zip(
-                  g.column("l_returnflag").to_pylist(),
-                  g.column("l_linestatus").to_pylist(),
-                  g.column("qty_sum").to_pylist(),
-                  g.column("price_c_sum").to_pylist(),
-                  g.column("disc_c_sum").to_pylist(),
-                  g.column("count_all").to_pylist())}
-        return pa.table({"state": pa.array([json.dumps(st)], pa.large_string())})
 
-    from engine.stages import keyed_tree_reduce
-
-    merged = keyed_tree_reduce(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        lambda a, b: [x + y for x, y in zip(a, b)])
-    keys = sorted(merged)
-    flags = [k.split("\x1f") for k in keys]
-    sum_qty = np.array([merged[k][0] for k in keys], dtype=np.int64)
-    price_c = np.array([merged[k][1] for k in keys], dtype=np.float64)
-    disc_c = np.array([merged[k][2] for k in keys], dtype=np.float64)
-    cnt = np.array([merged[k][3] for k in keys], dtype=np.int64)
+    sums = ["qty", "price_c", "disc_c", "n"]
+    g = group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"], dict.fromkeys(sums, "sum"),
+        pa.schema([("l_returnflag", pa.string()), ("l_linestatus", pa.string()),
+                   *((c, pa.int64()) for c in sums)]))
+    sum_qty, cnt = g.column("qty").to_numpy(), g.column("n").to_numpy()
     return pa.table({
-        "l_returnflag": pa.array([f[0] for f in flags], pa.string()),
-        "l_linestatus": pa.array([f[1] for f in flags], pa.string()),
-        "sum_qty": pa.array(sum_qty),
-        "sum_base_price": pa.array(_half_away_round(price_c / 100.0, 2)),
-        "sum_disc_price": pa.array(_half_away_round(disc_c / 100.0, 2)),
+        "l_returnflag": g.column("l_returnflag"),
+        "l_linestatus": g.column("l_linestatus"),
+        "sum_qty": g.column("qty"),
+        "sum_base_price": pa.array(_half_away_round(g.column("price_c").to_numpy() / 100.0, 2)),
+        "sum_disc_price": pa.array(_half_away_round(g.column("disc_c").to_numpy() / 100.0, 2)),
         "avg_qty": pa.array(_half_away_round(sum_qty / cnt, 4)),
-        "count_order": pa.array(cnt),
+        "count_order": g.column("n"),
     })
 
 
@@ -191,37 +179,28 @@ FROM lineitem
 
 
 def grouped_stats_orderpriority(sf_dir: str):
+    """Count, mean, min and max order price per priority, from integer
+    cents through ``group_aggregate``."""
     ds = _read(sf_dir, "orders", columns=["o_orderpriority", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        pairs = pa.table({
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "cents": pa.array(_half_away_cents(batch.column("o_totalprice").to_numpy())),
-        })
-        g = pairs.group_by(["o_orderpriority"], use_threads=False).aggregate(
-            [([], "count_all"), ("cents", "sum"), ("cents", "min"), ("cents", "max")])
-        # Keyed-tree-reduce finalize (see q1): one JSON state row per batch.
-        st = {str(k): [n, s, lo, hi] for k, n, s, lo, hi in zip(
-            g.column("o_orderpriority").to_pylist(),
-            g.column("count_all").to_pylist(), g.column("cents_sum").to_pylist(),
-            g.column("cents_min").to_pylist(), g.column("cents_max").to_pylist())}
-        return pa.table({"state": pa.array([json.dumps(st)], pa.large_string())})
+    def rows(batch: pa.Table) -> pa.Table:
+        cents = pa.array(_half_away_cents(batch.column("o_totalprice").to_numpy()))
+        return pa.table({"o_orderpriority": batch.column("o_orderpriority"),
+                         "n": _ones(batch.num_rows),
+                         "sum_c": cents, "min_c": cents, "max_c": cents})
 
-    from engine.stages import keyed_tree_reduce
-
-    merged = keyed_tree_reduce(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        lambda a, b: [a[0] + b[0], a[1] + b[1],
-                      min(a[2], b[2]), max(a[3], b[3])])
-    keys = sorted(merged)
+    g = group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["o_orderpriority"], {"n": "sum", "sum_c": "sum", "min_c": "min", "max_c": "max"},
+        pa.schema([("o_orderpriority", pa.string()), ("n", pa.int64()), ("sum_c", pa.int64()),
+                   ("min_c", pa.int64()), ("max_c", pa.int64())]))
     return pa.table({
-        "o_orderpriority": pa.array(keys, pa.string()),
-        "n_orders": pa.array([merged[k][0] for k in keys], pa.int64()),
-        "avg_price": pa.array(
-            [float(_half_away_round(merged[k][1] / 100.0 / merged[k][0], 4))
-             for k in keys], pa.float64()),
-        "min_price": pa.array([merged[k][2] / 100.0 for k in keys], pa.float64()),
-        "max_price": pa.array([merged[k][3] / 100.0 for k in keys], pa.float64()),
+        "o_orderpriority": g.column("o_orderpriority"),
+        "n_orders": g.column("n"),
+        "avg_price": pa.array(_half_away_round(
+            g.column("sum_c").to_numpy() / 100.0 / g.column("n").to_numpy(), 4)),
+        "min_price": pa.array(g.column("min_c").to_numpy() / 100.0),
+        "max_price": pa.array(g.column("max_c").to_numpy() / 100.0),
     })
 
 
@@ -405,17 +384,14 @@ def distinct_users_by_type(sf_dir: str):
     """EXACT grouped COUNT DISTINCT — the per-group companion of
     distinct_users_events.  Per-batch (type, user) dedup partials bound
     the first shuffle to distinct pairs per batch; the 2-key groupby
-    dedups globally; the per-type count then finalizes as a keyed tree
-    reduction (NOT a second groupby: 5 event types range-partitioned
-    across N blocks leave ~N-5 empty partitions, whose zero-column
-    blocks caused the RefBundle schema warnings in BENCH_r03).  The
-    driver builds the tiny report with an explicit schema, so an empty
-    input still yields a typed empty table matching DuckDB.  The
+    dedups globally; the per-type count of the distinct pairs then runs
+    through ``group_aggregate`` (NOT a second groupby: 5 event types
+    range-partitioned across N blocks leave ~N-5 empty partitions, whose
+    zero-column blocks caused the RefBundle schema warnings in BENCH_r03).
+    An empty input still yields a typed empty table matching DuckDB.  The
     approximate per-group path is hll_users_by_type (one HLL sketch per
     group, merged per type), accuracy-gated against this query in tests.
     """
-    from engine.stages import keyed_tree_reduce
-
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     def dedup_partial(batch: pa.Table) -> pa.Table:
@@ -426,21 +402,12 @@ def distinct_users_by_type(sf_dir: str):
     pairs = ds.map_batches(dedup_partial, batch_format="pyarrow",
                            zero_copy_batch=True) \
         .groupby(["event_type", "user_id"]).count()
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("event_type"))
-        return pa.table({"state": pa.array(
-            [json.dumps({str(k): int(v) for k, v in zip(
-                vc.field("values").to_pylist(), vc.field("counts").to_pylist())})],
-            pa.large_string())})
-
-    merged = keyed_tree_reduce(
-        pairs.map_batches(count_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        lambda a, b: a + b)
-    keys = sorted(merged)
-    return pa.table({"event_type": pa.array(keys, pa.string()),
-                     "n_users": pa.array([merged[k] for k in keys], pa.int64())})
+    return group_aggregate(
+        pairs.map_batches(lambda b: pa.table({"event_type": b.column("event_type"),
+                                              "n_users": _ones(b.num_rows)}),
+                          batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type"], {"n_users": "sum"},
+        pa.schema([("event_type", pa.string()), ("n_users", pa.int64())]))
 
 
 DISTINCT_BY_TYPE_SQL = """
@@ -581,8 +548,8 @@ ORPHAN_REPORT_DRIVER_CAP = 1_000_000
 def orders_per_segment(sf_dir: str):
     """Orders per customer market segment: a dimension join through
     ``engine.joins`` (broadcast customer → segment code, or the shuffle
-    join past the gate), per-batch counts, then the shared ``group_sums``
-    tail.  The report is a typed Arrow table, also on an empty corpus."""
+    join past the gate), then ``group_aggregate``.  The report is a typed
+    Arrow table, also on an empty corpus."""
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
@@ -594,25 +561,21 @@ def orders_per_segment(sf_dir: str):
 
         def tag(batch: pa.Table) -> pa.Table:
             code, found = joins.lookup(lut, batch.column("o_custkey"))
-            uniq, sums = joins.sum_by_code(code[found], n=None)
-            return pa.table({"c_mktsegment": segments.take(uniq), "n": sums["n"]})
+            uniq, sums = joins.sum_by_code(code[found], order_cnt=None)
+            return pa.table({"c_mktsegment": segments.take(uniq),
+                             "order_cnt": sums["order_cnt"]})
 
         partials = orders.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
     else:
-        def partial_counts(batch: pa.Table) -> pa.Table:
-            vc = pc.value_counts(batch.column("c_mktsegment"))
-            return pa.table({"c_mktsegment": pc.cast(vc.field("values"), pa.string()),
-                             "n": vc.field("counts")})
-
         partials = joins.shuffle_join(orders, "o_custkey", plan.build, "c_custkey",
                                       orders.count()) \
-            .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
+            .map_batches(lambda t: pa.table({"c_mktsegment": t.column("c_mktsegment"),
+                                             "order_cnt": _ones(t.num_rows)}),
+                         batch_format="pyarrow", zero_copy_batch=True)
 
-    rows = joins.group_sums(partials, ["c_mktsegment"], ["n"]).take_all()
-    return pa.table({
-        "c_mktsegment": pa.array([r["c_mktsegment"] for r in rows], pa.string()),
-        "order_cnt": pa.array([r["n"] for r in rows], pa.int64()),
-    })
+    return group_aggregate(
+        partials, ["c_mktsegment"], {"order_cnt": "sum"},
+        pa.schema([("c_mktsegment", pa.string()), ("order_cnt", pa.int64())]))
 
 
 ORDERS_PER_SEGMENT_SQL = """
@@ -640,22 +603,20 @@ def orders_price_bands(sf_dir: str):
     ``o_totalprice``.  The band table is the SMALL side, so instead of any
     shuffle the sorted interior boundaries ride the task closure and every
     batch resolves its band memberships with ONE ``np.searchsorted`` —
-    a vectorized non-equi join probe; per-band partials then merge through
-    the keyed tree reduction, so band skew (most orders in one band) never
-    concentrates on a shuffle partition.  Per-BATCH sums use float64
-    bincount weights (exact: batch_rows x max_cents < 2^53); the
-    cross-batch merge is arbitrary-precision Python int, so the total is
-    exact at any corpus size.  Empty bands are omitted, exactly like the
-    SQL INNER JOIN; boundary hits are IEEE double compares on both sides.
+    a vectorized non-equi join probe; ``group_aggregate`` then sums the
+    per-band counts and integer cents, so band skew (most orders in one
+    band) never concentrates on a shuffle partition.  Empty bands are
+    omitted, exactly like the SQL INNER JOIN; boundary hits are IEEE
+    double compares on both sides.
     """
-    from engine.stages import keyed_tree_reduce, reraise_udf_value_error
+    from engine.stages import reraise_udf_value_error
 
-    names = [b[0] for b in PRICE_BANDS]
+    names = pa.array([b[0] for b in PRICE_BANDS], pa.string())
     interior = np.array([b[1] for b in PRICE_BANDS[1:]], dtype=np.float64)
 
     ds = _read(sf_dir, "orders", columns=["o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         v = batch.column("o_totalprice").to_numpy()
         # Loud guard: searchsorted would put a negative price in band1 and
         # NaN (or a null, read as NaN) in band5, where the SQL join drops
@@ -666,31 +627,24 @@ def orders_price_bands(sf_dir: str):
                 f"orders_price_bands needs finite non-negative o_totalprice; "
                 f"{int(bad.sum())} row(s) out of contract, e.g. "
                 f"{float(v[bad][0])!r}")
-        idx = np.searchsorted(interior, v, side="right")   # [lo, hi) bands
-        cents = _half_away_cents(v)
-        cnt = np.bincount(idx, minlength=len(names))
-        sums = np.bincount(idx, weights=cents.astype(np.float64),
-                           minlength=len(names))
-        st = {names[i]: [int(cnt[i]), int(sums[i])]
-              for i in range(len(names)) if cnt[i]}
-        return pa.table({"state": pa.array([json.dumps(st)],
-                                           pa.large_string())})
+        return pa.table({
+            "band": names.take(np.searchsorted(interior, v, side="right")),   # [lo, hi)
+            "n_orders": _ones(batch.num_rows),
+            "cents": pa.array(_half_away_cents(v)),
+        })
 
     try:
-        merged = keyed_tree_reduce(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            lambda a, b: [a[0] + b[0], a[1] + b[1]])
+        g = group_aggregate(
+            ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+            ["band"], {"n_orders": "sum", "cents": "sum"},
+            pa.schema([("band", pa.string()), ("n_orders", pa.int64()), ("cents", pa.int64())]))
     except Exception as err:
         reraise_udf_value_error(err, "orders_price_bands needs")
         raise
-    keys = sorted(merged)
     return pa.table({
-        "band": pa.array(keys, pa.string()),
-        "n_orders": pa.array([merged[k][0] for k in keys], pa.int64()),
-        "sum_price": pa.array(
-            [float(_half_away_round(merged[k][1] / 100.0, 2)) for k in keys],
-            pa.float64()),
+        "band": g.column("band"),
+        "n_orders": g.column("n_orders"),
+        "sum_price": pa.array(_half_away_round(g.column("cents").to_numpy() / 100.0, 2)),
     })
 
 
@@ -1409,32 +1363,28 @@ def ipc_events_daily(sf_dir: str):
 
 
 def _events_daily_agg(ds):
-    def partial(batch: pa.Table) -> pa.Table:
-        pairs = pa.table({
-            "event_type": batch.column("event_type"),
-            "day": pc.strftime(batch.column("ts"), format="%Y-%m-%d"),
-            "value_c": pa.array(_half_away_cents(batch.column("value").to_numpy(),
-                                                 10000.0)),
-        })
-        g = pairs.group_by(["event_type", "day"], use_threads=False).aggregate(
-            [([], "count_all"), ("value_c", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": g.column("count_all"),
-                         "sum_c": g.column("value_c_sum")})
-
-    def finalize(batch: pa.Table) -> pa.Table:
+    """Events and exact value sums per (type, day) through
+    ``group_aggregate``.  Rows group by the ``date32`` day; only the
+    report's rows are formatted as text."""
+    def rows(batch: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": batch.column("event_type"),
-            "day": batch.column("day"),
-            "n": batch.column("sum(n)"),
-            "sum_value": pa.array(_half_away_round(batch.column("sum(sum_c)").to_numpy() / 10000.0, 4)),
+            "day": pc.cast(batch.column("ts"), pa.date32()),
+            "n": _ones(batch.num_rows),
+            "sum_c": pa.array(_half_away_cents(batch.column("value").to_numpy(), 10000.0)),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["event_type", "day"]).sum(["n", "sum_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True) \
-        .sort(["event_type", "day"])
+    g = group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "day"], {"n": "sum", "sum_c": "sum"},
+        pa.schema([("event_type", pa.string()), ("day", pa.date32()),
+                   ("n", pa.int64()), ("sum_c", pa.int64())]))
+    return pa.table({
+        "event_type": g.column("event_type"),
+        "day": pc.strftime(g.column("day"), format="%Y-%m-%d"),
+        "n": g.column("n"),
+        "sum_value": pa.array(_half_away_round(g.column("sum_c").to_numpy() / 10000.0, 4)),
+    })
 
 
 EVENTS_DAILY_SQL = """
@@ -1771,13 +1721,12 @@ GROUPING_KEYS = ("priority", "month")
 
 def grouping_sets(sf_dir: str, sets: list[tuple[str, ...]]):
     """GROUP BY GROUPING SETS over (priority, month): one distributed scan
-    builds the finest-grain detail aggregate (per-batch partial combine ->
-    one groupby over partial rows), then EVERY requested level re-aggregates
-    that bounded detail table (priorities x months rows) driver-side — no
-    second pass over orders at any scale, no Ray groupby over a
-    low-cardinality key (the empty-partition RefBundle hazard), and the
-    NULL level markers order NULLS LAST exactly like the DuckDB oracle
-    (Ray's sort cannot compare None vs str).
+    builds the finest-grain detail aggregate through ``group_aggregate``
+    (grouped by the integer month index, labelled afterwards), then EVERY
+    requested level re-aggregates that bounded detail table (priorities x
+    months rows) with one Arrow ``group_by`` on the driver — no second pass
+    over orders at any scale.  A level's absent keys are NULL markers, and
+    NULLs order last exactly like the DuckDB oracle.
 
     Duplicate sets emit duplicate rows and the empty set emits its row even
     on EMPTY input — both exactly SQL GROUPING SETS semantics (gated by
@@ -1789,50 +1738,42 @@ def grouping_sets(sf_dir: str, sets: list[tuple[str, ...]]):
     ds = _read(sf_dir, "orders", columns=["o_orderpriority", "o_orderdate",
                                           "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        pairs = pa.table({
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "priority": batch.column("o_orderpriority"),
-            "month": pc.strftime(batch.column("o_orderdate"), format="%Y-%m"),
+            "month_idx": _month_index(batch.column("o_orderdate")),
+            "n": _ones(batch.num_rows),
             "cents": pa.array(_half_away_cents(batch.column("o_totalprice").to_numpy())),
         })
-        g = pairs.group_by(["priority", "month"], use_threads=False).aggregate(
-            [([], "count_all"), ("cents", "sum")])
-        return pa.table({"priority": g.column("priority"),
-                         "month": g.column("month"),
-                         "n": g.column("count_all"),
-                         "cents": g.column("cents_sum")})
 
-    detail = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby(["priority", "month"]).sum(["n", "cents"])
-    # Bounded driver intake: priorities x months rows.
-    rows = [{"priority": r["priority"], "month": r["month"],
-             "n": r["sum(n)"], "cents": r["sum(cents)"]}
-            for r in detail.take_all()]
-
-    out: list[dict] = []
+    detail = group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["priority", "month_idx"], {"n": "sum", "cents": "sum"},
+        pa.schema([("priority", pa.string()), ("month_idx", pa.int64()),
+                   ("n", pa.int64()), ("cents", pa.int64())]))
+    keys = {"priority": detail.column("priority"),
+            "month": _month_labels(detail.column("month_idx"))}
+    # SQL emits the grand row even for zero input rows, with COUNT 0 and a
+    # NULL SUM: this row in the empty set's level makes sure it has one.
+    zero = pa.table({"priority": pa.nulls(1, pa.string()), "month": pa.nulls(1, pa.string()),
+                     "n": pa.array([0], pa.int64()), "cents": pa.nulls(1, pa.int64())})
+    levels = []
     for s in sets:
-        agg: dict[tuple, list] = {}
-        for r in rows:
-            k = tuple(r[c] if c in s else None for c in GROUPING_KEYS)
-            a = agg.setdefault(k, [0, 0])
-            a[0] += r["n"]
-            a[1] += r["cents"]
+        level = pa.table({**{c: keys[c] if c in s else pa.nulls(detail.num_rows, pa.string())
+                             for c in GROUPING_KEYS},
+                          "n": detail.column("n"), "cents": detail.column("cents")})
         if not s:
-            # SQL emits the grand row even for zero input rows.
-            agg.setdefault((None, None), [0, 0])
-        out.extend({"priority": k[0], "month": k[1], "n": a[0], "cents": a[1]}
-                   for k, a in agg.items())
-
-    out.sort(key=lambda r: (r["priority"] is None, r["priority"] or "",
-                            r["month"] is None, r["month"] or ""))
+            level = pa.concat_tables([level, zero])
+        levels.append(level.group_by(list(GROUPING_KEYS), use_threads=False)
+                      .aggregate([("n", "sum"), ("cents", "sum")]))
+    out = pa.concat_tables(levels).sort_by([(c, "ascending") for c in GROUPING_KEYS])
     return pa.table({
-        "priority": pa.array([r["priority"] for r in out], pa.string()),
-        "month": pa.array([r["month"] for r in out], pa.string()),
-        "n": pa.array([r["n"] for r in out], pa.int64()),
+        "priority": out.column("priority"),
+        "month": out.column("month"),
+        "n": out.column("n_sum"),
         # SQL ROUND is half-away-from-zero; Python round() is banker's.
-        "total": pa.array(_half_away_round(
-            np.array([r["cents"] for r in out], dtype=np.float64) / 100.0, 2)),
+        "total": pa.array(_half_away_round(out.column("cents_sum").to_numpy() / 100.0, 2),
+                          from_pandas=True),
     })
 
 
@@ -1936,44 +1877,23 @@ def events_moving_avg(sf_dir: str, window: int = 7):
 
 def events_dow_pivot(sf_dir: str):
     """PIVOT / crosstab: event counts as a wide (event_type × ISO-weekday)
-    table.  Per-batch 2-D bincount partials (type code × dow) make the
-    shuffle #batches × #types rows of 7 ints; the groupby sums the wide
-    columns directly — the reshape happens in the combiner, never on raw
-    rows."""
+    table.  Each row becomes a one-hot weekday vector and
+    ``group_aggregate`` sums the wide columns per type — the reshape
+    happens before the exchange, never on the report."""
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
     dow_cols = [f"dow{i}" for i in range(1, 8)]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        types = batch.column("event_type").to_pandas()
+    def rows(batch: pa.Table) -> pa.Table:
         # Arrow day_of_week: Monday=0 … Sunday=6 → ISO 1..7.
         dow = pc.day_of_week(batch.column("ts")).to_numpy(zero_copy_only=False)
-        codes, uniques = pd.factorize(types)
-        values: list[str | None] = [str(u) for u in uniques]
-        if (codes < 0).any():
-            # factorize marks NULL types as -1, which np.add.at would wrap
-            # to the LAST row (silent misattribution — round-3 review);
-            # give NULLs their own grid row so they group like SQL.
-            codes = np.where(codes < 0, len(values), codes)
-            values.append(None)
-        grid = np.zeros((len(values), 7), dtype=np.int64)
-        np.add.at(grid, (codes, dow), 1)
-        cols = {"event_type": pa.array(values, pa.string())}
-        for i, name in enumerate(dow_cols):
-            cols[name] = pa.array(grid[:, i])
-        return pa.table(cols)
+        return pa.table({"event_type": batch.column("event_type"),
+                         **{c: pa.array((dow == i).astype(np.int64))
+                            for i, c in enumerate(dow_cols)}})
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        cols = {"event_type": batch.column("event_type")}
-        for name in dow_cols:
-            cols[name] = batch.column(f"sum({name})")
-        return pa.table(cols)
-
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("event_type").sum(dow_cols) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True) \
-        .sort("event_type")
+    return group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type"], dict.fromkeys(dow_cols, "sum"),
+        pa.schema([("event_type", pa.string()), *((c, pa.int64()) for c in dow_cols)]))
 
 
 DOW_PIVOT_SQL = """
@@ -2269,53 +2189,34 @@ def event_type_transitions(sf_dir: str):
 
     Same user-hash partition shuffle as the window family (each user's
     history is complete inside one partition, so every transition is
-    local); per partition one vectorized lexsort + integer pair-encode +
-    bincount; the <=|types|^2 pair counts ride keyed_tree_reduce."""
-    import json as _json
-
-    from engine.stages import bucket_shuffle_partitions, keyed_tree_reduce
+    local); per partition one vectorized lexsort emits the transition
+    rows, and ``group_aggregate`` counts the <=|types|^2 pairs."""
+    from engine.stages import bucket_shuffle_partitions
 
     n_parts = bucket_shuffle_partitions()
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
                                           "event_type"])
 
     def transitions_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({"state": pa.array([], pa.large_string())})
-        if group.num_rows < 2:
-            return empty
         uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
         tsv = group.column("ts").to_numpy().astype("datetime64[us]") \
             .view(np.int64)
-        types = np.asarray(group.column("event_type").to_pylist(),
-                           dtype=object)
-        order = np.lexsort((eid, tsv, uid))
-        uid, types = uid[order], types[order]
-        vocab, codes = np.unique(types, return_inverse=True)
+        order = np.lexsort((group.column("event_id").to_numpy(), tsv, uid))
+        uid = uid[order]
+        types = group.column("event_type").take(pa.array(order))
         same = uid[1:] == uid[:-1]
-        if not same.any():
-            return empty
-        k = len(vocab)
-        pair = codes[:-1][same] * k + codes[1:][same]
-        cnt = np.bincount(pair, minlength=k * k)
-        st = {f"{vocab[p // k]}\x1f{vocab[p % k]}": int(c)
-              for p, c in enumerate(cnt) if c}
-        return pa.table({"state": pa.array([_json.dumps(st)],
-                                           pa.large_string())})
+        keep = pa.array(same)
+        return pa.table({"prev_type": types[:-1].filter(keep),
+                         "next_type": types[1:].filter(keep),
+                         "n": _ones(int(same.sum()))})
 
     partials = ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
                               zero_copy_batch=True) \
         .groupby("part").map_groups(transitions_partition,
                                     batch_format="pyarrow")
-    merged = keyed_tree_reduce(partials, lambda a, b: a + b)
-    keys = sorted(merged)
-    prev = [key.split("\x1f")[0] for key in keys]
-    nxt = [key.split("\x1f")[1] for key in keys]
-    return pa.table({
-        "prev_type": pa.array(prev, pa.string()),
-        "next_type": pa.array(nxt, pa.string()),
-        "n": pa.array([int(merged[key]) for key in keys], pa.int64()),
-    })
+    return group_aggregate(
+        partials, ["prev_type", "next_type"], {"n": "sum"},
+        pa.schema([("prev_type", pa.string()), ("next_type", pa.string()), ("n", pa.int64())]))
 
 
 def user_transition_diversity(sf_dir: str):
@@ -3311,32 +3212,26 @@ QUANTITY_HIST_EDGES = np.arange(0.0, 51.0, 5.0)   # 11 edges, 10 interior bins
 def quantity_histogram(sf_dir: str):
     """User-facing fixed-bin histogram of l_quantity through the SAME
     mergeable Histogram sketch the drift checks ride
-    (engine/checks/sketches.py:345) — per-batch partials, keyed tree
-    merge, all 12 bins (under/overflow included) in the typed report.
-    Ties the sketch's np.histogram bin convention (right-closed, last
-    edge inclusive) to the DuckDB oracle."""
-    import json as _json
-
+    (engine/checks/sketches.py:345) — per-batch bin counts summed by
+    ``group_aggregate``, all 12 bins (under/overflow included) in the typed
+    report.  Ties the sketch's np.histogram bin convention (right-closed,
+    last edge inclusive) to the DuckDB oracle."""
     from engine.checks.sketches import Histogram
-    from engine.stages import keyed_tree_reduce
 
-    def partial(batch: pa.Table) -> pa.Table:
+    n_bins = QUANTITY_HIST_EDGES.size + 1
+
+    def bin_counts(batch: pa.Table) -> pa.Table:
         h = Histogram(QUANTITY_HIST_EDGES)
         h.update(batch.column("l_quantity").to_numpy())
-        st = {str(i): int(c) for i, c in enumerate(h.counts) if c}
-        return pa.table({"state": pa.array([_json.dumps(st)],
-                                           pa.large_string())})
+        return pa.table({"bin": pa.array(np.arange(n_bins)), "n": pa.array(h.counts)})
 
-    merged = keyed_tree_reduce(
+    g = group_aggregate(
         _read(sf_dir, "lineitem", columns=["l_quantity"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        lambda a, b: a + b)
-    n_bins = QUANTITY_HIST_EDGES.size + 1
-    return pa.table({
-        "bin": pa.array(range(n_bins), pa.int64()),
-        "n": pa.array([int(merged.get(str(i), 0)) for i in range(n_bins)],
-                      pa.int64()),
-    })
+        .map_batches(bin_counts, batch_format="pyarrow", zero_copy_batch=True),
+        ["bin"], {"n": "sum"}, pa.schema([("bin", pa.int64()), ("n", pa.int64())]))
+    n = np.zeros(n_bins, np.int64)
+    n[g.column("bin").to_numpy()] = g.column("n").to_numpy()
+    return pa.table({"bin": pa.array(np.arange(n_bins)), "n": pa.array(n)})
 
 
 QUANTITY_HIST_SQL = r"""
@@ -3356,43 +3251,29 @@ FROM bins LEFT JOIN c USING (bin) ORDER BY bins.bin
 def source_quality_report(sf_dir: str):
     """Per-SOURCE corpus report (the provenance axis: which feed is
     sending short/empty documents): doc counts + exact token/char sums +
-    single-division means, partials keyed by source through
-    keyed_tree_reduce — the provenance column never shuffles raw rows."""
-    import json as _json
+    single-division means, the per-document counts summed per source by
+    ``group_aggregate`` — the provenance column never shuffles raw rows."""
+    from engine.ops.text import TOKEN_RE, safe_frac
 
-    from engine.ops.text import TOKEN_RE
-    from engine.stages import keyed_tree_reduce
+    def rows(batch: pa.Table) -> pa.Table:
+        text = batch.column("text")
+        return pa.table({
+            "source": batch.column("source"),
+            "n_docs": _ones(batch.num_rows),
+            "sum_tokens": pa.array([len(TOKEN_RE.findall(t or "")) for t in text.to_pylist()],
+                                   pa.int64()),
+            "sum_chars": pc.fill_null(pc.utf8_length(text), 0),
+        })
 
-    def partial(batch: pa.Table) -> pa.Table:
-        st: dict[str, list[int]] = {}
-        srcs = batch.column("source").to_pylist()
-        texts = batch.column("text").to_pylist()
-        for s, t in zip(srcs, texts):
-            t = t or ""
-            cur = st.setdefault(s or "", [0, 0, 0])
-            cur[0] += 1
-            cur[1] += len(TOKEN_RE.findall(t))
-            cur[2] += len(t)
-        return pa.table({"state": pa.array([_json.dumps(st)],
-                                           pa.large_string())})
-
-    merged = keyed_tree_reduce(
+    sums = ["n_docs", "sum_tokens", "sum_chars"]
+    g = group_aggregate(
         _read(sf_dir, "documents", columns=["source", "text"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        lambda a, b: [a[0] + b[0], a[1] + b[1], a[2] + b[2]])
-    srcs = sorted(merged)
-    n = np.array([merged[s][0] for s in srcs], dtype=np.int64)
-    tok = np.array([merged[s][1] for s in srcs], dtype=np.int64)
-    ch = np.array([merged[s][2] for s in srcs], dtype=np.int64)
-    from engine.ops.text import safe_frac
-
-    return pa.table({
-        "source": pa.array(srcs, pa.string()),
-        "n_docs": pa.array(n), "sum_tokens": pa.array(tok),
-        "sum_chars": pa.array(ch),
-        "mean_tokens": pa.array(safe_frac(tok, n)),
-        "mean_chars": pa.array(safe_frac(ch, n)),
-    })
+        .map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["source"], dict.fromkeys(sums, "sum"),
+        pa.schema([("source", pa.string()), *((c, pa.int64()) for c in sums)]))
+    n = g.column("n_docs").to_numpy()
+    return g.append_column("mean_tokens", pa.array(safe_frac(g.column("sum_tokens").to_numpy(), n))) \
+        .append_column("mean_chars", pa.array(safe_frac(g.column("sum_chars").to_numpy(), n)))
 
 
 SOURCE_QUALITY_SQL = r"""
@@ -3788,35 +3669,21 @@ def term_frequency_spectrum(sf_dir: str):
     """Corpus frequency spectrum (Zipf profile): how many distinct terms
     occur exactly k times.  Double aggregation — wordcount partials →
     per-term total (the one unavoidable term exchange, already batch-
-    combined) → count-of-counts re-partialed through keyed_tree_reduce
-    (the k-axis is low-cardinality; no sparse groupby)."""
-    import json as _json
-
+    combined) → count-of-counts through ``group_aggregate`` (the k-axis is
+    low-cardinality; no sparse groupby)."""
     from engine.ops.text import term_doc_counts
-    from engine.stages import keyed_tree_reduce
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     per_term = ds.map_batches(
         lambda b: term_doc_counts(b).drop_columns(["doc_id"]),
         batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("term").sum("tf")
-
-    def spectrum_partial(batch: pa.Table) -> pa.Table:
-        ks, cnts = np.unique(
-            batch.column("sum(tf)").to_numpy(zero_copy_only=False),
-            return_counts=True)
-        return pa.table({"state": pa.array(
-            [_json.dumps({str(int(k)): int(c) for k, c in zip(ks, cnts)})],
-            pa.large_string())})
-
-    merged = keyed_tree_reduce(
-        per_term.map_batches(spectrum_partial, batch_format="pyarrow"),
-        lambda a, b: a + b)
-    ks = sorted(int(k) for k in merged)
-    return pa.table({
-        "occurrences": pa.array(ks, pa.int64()),
-        "n_terms": pa.array([int(merged[str(k)]) for k in ks], pa.int64()),
-    })
+    return group_aggregate(
+        per_term.map_batches(lambda b: pa.table({"occurrences": b.column("sum(tf)"),
+                                                 "n_terms": _ones(b.num_rows)}),
+                             batch_format="pyarrow", zero_copy_batch=True),
+        ["occurrences"], {"n_terms": "sum"},
+        pa.schema([("occurrences", pa.int64()), ("n_terms", pa.int64())]))
 
 
 TERM_SPECTRUM_SQL = r"""
@@ -4149,7 +4016,9 @@ def revenue_by_segment_day(sf_dir: str):
     month) int64, so each lineitem batch needs one lookup, its half-away
     cents and an ``np.unique`` + ``bincount`` combiner — no shuffle join.
     A side the planner does not broadcast takes the partitioned hash join;
-    lineitem is then combined per order key before the exchange.
+    lineitem is then combined per order key before the exchange.  Either
+    way ``group_aggregate`` sums per (segment, month index), and months are
+    labelled on the report's rows only.
     """
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     line = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -4194,7 +4063,7 @@ def revenue_by_segment_day(sf_dir: str):
             low = uniq % _MONTH_STRIDE
             return pa.table({
                 "segment": segments.take(uniq // _MONTH_STRIDE),
-                "month": _month_labels(pa.array(low - _MONTH_OFFSET, mask=low == 0)),
+                "month_idx": pa.array(low - _MONTH_OFFSET, mask=low == 0),
                 "n": sums["n"], "rev_c": sums["rev_c"],
             })
 
@@ -4211,28 +4080,21 @@ def revenue_by_segment_day(sf_dir: str):
                                            n=None, rev_c=cents)
             return pa.table({"o_orderkey": uniq, "n": sums["n"], "rev_c": sums["rev_c"]})
 
-        def agg_partial(batch: pa.Table) -> pa.Table:
-            g = batch.group_by(["segment", "month_idx"], use_threads=False) \
-                .aggregate([("n", "sum"), ("rev_c", "sum")])
-            return pa.table({"segment": g.column("segment"),
-                             "month": _month_labels(g.column("month_idx")),
-                             "n": g.column("n_sum"), "rev_c": g.column("rev_c_sum")})
-
+        # The joined rows already carry segment and month_idx.
         partials = joins.shuffle_join(
             line.map_batches(line_partial, batch_format="pyarrow", zero_copy_batch=True),
-            "o_orderkey", order_plan.build, "o_orderkey", line.count()) \
-            .map_batches(agg_partial, batch_format="pyarrow", zero_copy_batch=True)
+            "o_orderkey", order_plan.build, "o_orderkey", line.count())
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "segment": batch.column("segment"),
-            "month": batch.column("month"),
-            "n_items": batch.column("n"),
-            "revenue": pa.array(_half_away_round(batch.column("rev_c").to_numpy() / 100.0, 2)),
-        })
-
-    return joins.group_sums(partials, ["segment", "month"], ["n", "rev_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    g = group_aggregate(
+        partials, ["segment", "month_idx"], {"n": "sum", "rev_c": "sum"},
+        pa.schema([("segment", pa.string()), ("month_idx", pa.int64()),
+                   ("n", pa.int64()), ("rev_c", pa.int64())]))
+    return pa.table({
+        "segment": g.column("segment"),
+        "month": _month_labels(g.column("month_idx")),
+        "n_items": g.column("n"),
+        "revenue": pa.array(_half_away_round(g.column("rev_c").to_numpy() / 100.0, 2)),
+    })
 
 
 REVENUE_SQL = """
@@ -4250,6 +4112,7 @@ def revenue_by_brand(sf_dir: str):
     join through ``engine.joins``.  Broadcast looks each batch's part keys
     up in the part → brand map and emits #brands partial rows; the shuffle
     join exchanges (partkey, cents) partials combined per batch instead.
+    ``group_aggregate`` sums either per brand.
     """
     part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"])
     line = _read(sf_dir, "lineitem",
@@ -4267,7 +4130,7 @@ def revenue_by_brand(sf_dir: str):
         def partial(batch: pa.Table) -> pa.Table:
             code, found = joins.lookup(lut, batch.column("l_partkey"))
             uniq, sums = joins.sum_by_code(code[found], n=None, rev_c=cents(batch)[found])
-            return pa.table({"brand": brands.take(uniq), "n": sums["n"],
+            return pa.table({"p_brand": brands.take(uniq), "n": sums["n"],
                              "rev_c": sums["rev_c"]})
 
         partials = line.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
@@ -4280,22 +4143,16 @@ def revenue_by_brand(sf_dir: str):
 
         partials = joins.shuffle_join(
             line.map_batches(line_partial, batch_format="pyarrow", zero_copy_batch=True),
-            "p_partkey", plan.build, "p_partkey", line.count()) \
-            .map_batches(lambda t: pa.table({"brand": t.column("p_brand"),
-                                             "n": t.column("n"),
-                                             "rev_c": t.column("rev_c")}),
-                         batch_format="pyarrow", zero_copy_batch=True)
+            "p_partkey", plan.build, "p_partkey", line.count())
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "brand": batch.column("brand"),
-            "n_items": batch.column("n"),
-            "revenue": pa.array(_half_away_round(
-                batch.column("rev_c").to_numpy() / 100.0, 2)),
-        })
-
-    return joins.group_sums(partials, ["brand"], ["n", "rev_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    g = group_aggregate(
+        partials, ["p_brand"], {"n": "sum", "rev_c": "sum"},
+        pa.schema([("p_brand", pa.string()), ("n", pa.int64()), ("rev_c", pa.int64())]))
+    return pa.table({
+        "brand": g.column("p_brand"),
+        "n_items": g.column("n"),
+        "revenue": pa.array(_half_away_round(g.column("rev_c").to_numpy() / 100.0, 2)),
+    })
 
 
 REVENUE_BY_BRAND_SQL = """
@@ -4309,44 +4166,38 @@ GROUP BY brand ORDER BY brand
 def supplier_stats_by_region(sf_dir: str):
     """supplier ⋈ nation ⋈ region: supplier count + account balance per
     region — the two tiny dimensions collapse to one driver-built
-    suppkey-side lookup (nationkey → region name), and the supplier scan
-    emits per-batch per-region partials (#batches × #regions rows)."""
-    import pandas as pd
-
+    nationkey → region name lookup, and ``group_aggregate`` sums the
+    supplier rows per region.  A supplier whose nation or region is
+    missing joins nothing; a NULL region name groups as NULL."""
     nation = {r["n_nationkey"]: r["n_regionkey"]
               for r in _read(sf_dir, "nation",
                              columns=["n_nationkey", "n_regionkey"]).take_all()}
     region = {r["r_regionkey"]: r["r_name"]
               for r in _read(sf_dir, "region",
                              columns=["r_regionkey", "r_name"]).take_all()}
-    nat_to_region = {nk: region[rk] for nk, rk in nation.items() if rk in region}
+    nat_to_region = {nk: region[rk] for nk, rk in nation.items()
+                     if nk is not None and rk is not None and rk in region}
+    nat_keys = pa.array(list(nat_to_region), pa.int64())
+    names = pa.array(list(nat_to_region.values()), pa.string())
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nk = batch.column("s_nationkey").to_numpy(zero_copy_only=False)
-        cents = _half_away_cents(batch.column("s_acctbal").to_numpy())
-        names = pd.Series(nk).map(nat_to_region)
-        keep = names.notna().to_numpy()
-        df = pd.DataFrame({"region": names[keep],
-                           "bal_c": cents[keep]})
-        g = df.groupby("region", as_index=False).agg(
-            n=("bal_c", "size"), bal_c=("bal_c", "sum"))
-        return pa.table({"region": pa.array(g["region"], pa.string()),
-                         "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-                         "bal_c": pa.array(g["bal_c"].to_numpy().astype(np.int64))})
+    def rows(batch: pa.Table) -> pa.Table:
+        idx = pc.index_in(pc.cast(batch.column("s_nationkey"), pa.int64()), value_set=nat_keys)
+        t = pa.table({"idx": idx, "n": _ones(batch.num_rows),
+                      "bal_c": _half_away_cents(batch.column("s_acctbal").to_numpy())}) \
+            .filter(pc.is_valid(idx))
+        return pa.table({"region": names.take(t.column("idx")),
+                         "n": t.column("n"), "bal_c": t.column("bal_c")})
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "region": batch.column("region"),
-            "n_suppliers": batch.column("sum(n)"),
-            "acctbal": pa.array(_half_away_round(
-                batch.column("sum(bal_c)").to_numpy() / 100.0, 2)),
-        })
-
-    return _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"]) \
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("region").sum(["n", "bal_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True) \
-        .sort("region")
+    g = group_aggregate(
+        _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"])
+        .map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["region"], {"n": "sum", "bal_c": "sum"},
+        pa.schema([("region", pa.string()), ("n", pa.int64()), ("bal_c", pa.int64())]))
+    return pa.table({
+        "region": g.column("region"),
+        "n_suppliers": g.column("n"),
+        "acctbal": pa.array(_half_away_round(g.column("bal_c").to_numpy() / 100.0, 2)),
+    })
 
 
 SUPPLIER_REGION_SQL = """
@@ -4473,10 +4324,11 @@ def lineitem_quantity_ranks(sf_dir: str):
     ds = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_linenumber", "l_returnflag",
                         "l_quantity"])
-    return grouped_value_ranks(
+    ranked = grouped_value_ranks(
         ds, "l_returnflag", "l_quantity",
-        carry_cols=["l_orderkey", "l_linenumber", "l_returnflag",
-                    "l_quantity"]).sort(["l_orderkey", "l_linenumber"])
+        carry_cols=["l_orderkey", "l_linenumber", "l_returnflag", "l_quantity"])
+    # An empty input ranks to a typed empty table; Ray's sort would drop its schema.
+    return ranked if isinstance(ranked, pa.Table) else ranked.sort(["l_orderkey", "l_linenumber"])
 
 
 LINEITEM_QUANTITY_RANKS_SQL = """
@@ -4563,48 +4415,40 @@ DRIFT_SPLIT_TS_US = 1705363200000000   # 2024-01-16T00:00:00Z in epoch micros
 DRIFT_VALUE_EDGES_LO = 0.0
 DRIFT_VALUE_EDGES_HI = 500.0
 DRIFT_VALUE_EDGES_N = 50               # interior bins; step 10
+DRIFT_AXES = ("event_type", "value")
 
 
 def _drift_split_counts(sf_dir: str):
-    """Shared distributed-counts stage for the drift queries: per-batch
-    (axis, bin, half) partial counts over events, merged by the
-    keyed-tree-reduce finalize (a ~120-key groupby range-partitions into
-    mostly-empty blocks — the RefBundle schema-warning class).  Returns
-    the counts as a small pandas frame (axes x bins x 2 rows —
-    driver-bounded by construction)."""
-
+    """Shared distributed-counts stage for the drift queries: every event
+    counts once per axis as an (axis, bin, half) row, summed by
+    ``group_aggregate``.  Returns the counts as a small pandas frame
+    (axes x bins x 2 rows — driver-bounded by construction)."""
     ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
     edges = np.linspace(DRIFT_VALUE_EDGES_LO, DRIFT_VALUE_EDGES_HI,
                         DRIFT_VALUE_EDGES_N + 1)
+    labels = pa.array([f"{b:04d}" for b in range(edges.size + 1)], pa.string())
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.timestamp("us")).to_numpy().astype("datetime64[us]").astype(np.int64)
-        half = (ts >= DRIFT_SPLIT_TS_US).astype(np.int8)
-        types = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
+        half = pa.array((ts >= DRIFT_SPLIT_TS_US).astype(np.int8))
         values = batch.column("value").to_numpy().astype(np.float64)
         vbin = np.searchsorted(edges, values, side="right")
         vbin[values == edges[-1]] = edges.size - 1     # Histogram.update rule
-        st: dict[str, int] = {}
-        for h in (0, 1):
-            m = half == h
-            for t, c in zip(*np.unique(types[m], return_counts=True)):
-                st[f"event_type\x1f{t}\x1f{h}"] = int(c)
-            for b, c in zip(*np.unique(vbin[m], return_counts=True)):
-                st[f"value\x1f{int(b):04d}\x1f{h}"] = int(c)
-        return pa.table({"state": pa.array([json.dumps(st)],
-                                           pa.large_string())})
 
-    from engine.stages import keyed_tree_reduce
+        def axis_rows(axis: int, bins) -> pa.Table:
+            return pa.table({"axis": pa.array(np.full(batch.num_rows, axis, np.int8)),
+                             "bin": bins, "half": half, "cnt": _ones(batch.num_rows)})
 
-    merged = keyed_tree_reduce(
-        ds.map_batches(partial_counts, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        lambda a, b: a + b)
-    import pandas as pd
+        return pa.concat_tables([axis_rows(0, pc.cast(batch.column("event_type"), pa.string())),
+                                 axis_rows(1, labels.take(vbin))])
 
-    rows = [k.split("\x1f") + [v] for k, v in merged.items()]
-    return pd.DataFrame(rows, columns=["axis", "bin", "half", "sum(cnt)"]) \
-        .astype({"half": np.int8, "sum(cnt)": np.int64})
+    counts = group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["axis", "bin", "half"], {"cnt": "sum"},
+        pa.schema([("axis", pa.int8()), ("bin", pa.string()), ("half", pa.int8()),
+                   ("cnt", pa.int64())])).to_pandas()
+    counts["axis"] = np.asarray(DRIFT_AXES, dtype=object)[counts["axis"].to_numpy()]
+    return counts
 
 
 def _drift_split_histograms(counts):
@@ -4619,7 +4463,7 @@ def _drift_split_histograms(counts):
         vec = {0: np.zeros(len(labels), dtype=np.int64),
                1: np.zeros(len(labels), dtype=np.int64)}
         for _, row in grp.iterrows():
-            vec[int(row["half"])][idx[row["bin"]]] = int(row["sum(cnt)"])
+            vec[int(row["half"])][idx[row["bin"]]] = int(row["cnt"])
         dummy_edges = np.arange(len(labels) + 1, dtype=np.float64)
         h_e, h_o = Histogram(dummy_edges[:-1]), Histogram(dummy_edges[:-1])
         h_e.counts = np.concatenate([[0], vec[0], [0]])   # under/overflow empty
@@ -4784,48 +4628,36 @@ def events_hopping_window(sf_dir: str):
     """Hopping-window aggregate (6 h windows, 3 h hop): each event lands in
     exactly WINDOW_SPAN overlapping windows.  Scale shape: window assignment
     is a vectorized per-batch transform (no shuffle for the explode — rows
-    are duplicated inside the batch), then the same partial-combiner ->
-    small groupby pattern as events_daily_by_type bounds the exchange to
-    O(batches x windows x types) rows.  Ray Data has no native window
-    operator; this is the composition the north rule asks to document:
-    assignment in map_batches, aggregation in a keyed groupby."""
-    import pandas as pd
-
+    are duplicated inside the batch), then ``group_aggregate`` bounds the
+    exchange to O(batches x windows x types) rows, as in
+    events_daily_by_type.  Ray Data has no native window operator; this is
+    the composition the north rule asks to document: assignment in
+    map_batches, aggregation by key."""
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         ts_us = batch.column("ts").cast(pa.timestamp("us")) \
             .to_numpy().astype("datetime64[us]").astype(np.int64)
         base = (ts_us // HOP_US) * HOP_US
-        types = batch.column("event_type").to_pandas()
-        cents = _half_away_cents(batch.column("value").to_numpy(), 10000.0)
-        frames = []
-        for k in range(WINDOW_SPAN):
-            frames.append(pd.DataFrame({
-                "ws_us": base - k * HOP_US,
-                "event_type": types,
-                "value_c": cents,
-            }))
-        df = pd.concat(frames, ignore_index=True)
-        g = df.groupby(["ws_us", "event_type"], as_index=False, dropna=False).agg(
-            n=("value_c", "size"), sum_c=("value_c", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        cents = pa.array(_half_away_cents(batch.column("value").to_numpy(), 10000.0))
+        return pa.concat_tables([
+            pa.table({"ws_us": pa.array(base - k * HOP_US),
+                      "event_type": batch.column("event_type"),
+                      "n": _ones(batch.num_rows), "sum_c": cents})
+            for k in range(WINDOW_SPAN)])
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        ws = batch.column("ws_us").to_numpy().astype("datetime64[us]")
-        return pa.table({
-            "window_start": pa.array(
-                np.datetime_as_string(ws, unit="s").astype(object), pa.string()),
-            "event_type": batch.column("event_type"),
-            "n": batch.column("sum(n)"),
-            "sum_value": pa.array(_half_away_round(
-                batch.column("sum(sum_c)").to_numpy() / 10000.0, 4)),
-        })
-
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["ws_us", "event_type"]).sum(["n", "sum_c"]) \
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True) \
-        .sort(["window_start", "event_type"])
+    g = group_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["ws_us", "event_type"], {"n": "sum", "sum_c": "sum"},
+        pa.schema([("ws_us", pa.int64()), ("event_type", pa.string()),
+                   ("n", pa.int64()), ("sum_c", pa.int64())]))
+    ws = g.column("ws_us").to_numpy().astype("datetime64[us]")
+    return pa.table({
+        "window_start": pa.array(np.datetime_as_string(ws, unit="s").astype(object), pa.string()),
+        "event_type": g.column("event_type"),
+        "n": g.column("n"),
+        "sum_value": pa.array(_half_away_round(g.column("sum_c").to_numpy() / 10000.0, 4)),
+    })
 
 
 EVENTS_HOPPING_SQL = """

@@ -15,6 +15,9 @@ Each stage is a batch transform over zero-copy Arrow batches:
   - ``grouped_stats_partials`` — per-(group, batch) partial stats rows; the
     downstream groupby shuffles only partial rows, which is how hot groups
     (skewed ``codec``) stay cheap.
+  - ``group_aggregate``        — the low-cardinality GROUP BY every grouped
+    report ends in: an Arrow ``group_by`` per batch, combine rounds in
+    workers, the last combine on the driver.
 
 All per-row work that can be vectorized is (numpy/pyarrow.compute); the JSON
 repair kernel is inherently per-row but takes the strict-parse fast path
@@ -29,6 +32,7 @@ import json
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from engine.audio import ALL_CODECS, check_clip_audio
 from engine.checks.sketches import ColumnStats, Histogram, HyperLogLog, TDigest
@@ -554,7 +558,7 @@ def exact_group_quantiles(ds, key: str, value_col: str,
     for k, grp in counts.groupby(key, sort=True):
         grp = grp.sort_values(value_col)
         vals = grp[value_col].to_numpy()
-        cum = grp["sum(cnt)"].to_numpy().cumsum()
+        cum = grp["cnt"].to_numpy().cumsum()
         n = int(cum[-1])
         out_keys.append(k)
         for name, q in qs.items():
@@ -598,7 +602,7 @@ def exact_group_mad(ds, key: str, value_col: str) -> pa.Table:
     out_mad: list[float] = []
     for k, grp in counts.groupby(key, sort=True):
         vals = grp[value_col].to_numpy()
-        cnts = grp["sum(cnt)"].to_numpy()
+        cnts = grp["cnt"].to_numpy()
         med = _median_from_counts(vals, cnts)
         dev = np.abs(vals - med)
         # Two values can land on the same deviation: merge their counts.
@@ -611,27 +615,22 @@ def exact_group_mad(ds, key: str, value_col: str) -> pa.Table:
 
 
 def group_value_counts(ds, key: str, value_col: str):
-    """Distributed (key, value) -> count table as a driver pandas frame —
+    """Distributed (key, value) -> ``cnt`` table as a driver pandas frame —
     the shared first stage of the bounded-domain statistics family
-    (exact quantiles, MAD, mode, rank maps).  Same contract: the value
-    domain must be bounded-cardinality, making the driver intake
-    O(groups x distinct)."""
+    (exact quantiles, MAD, mode, rank maps), through
+    :func:`group_aggregate`.  ``key`` is a string column and values are
+    compared as float64.  Same contract: the value domain must be
+    bounded-cardinality, making the driver intake O(groups x distinct)."""
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        # Arrow-native combiner: a single hash-aggregate kernel, no
-        # object-dtype pandas hop on the hottest per-batch path.
-        pairs = pa.table({key: batch.column(key),
-                          value_col: pc.cast(batch.column(value_col),
-                                             pa.float64())})
-        g = pairs.group_by([key, value_col],
-                           use_threads=False).aggregate([([], "count_all")])
-        return pa.table({key: g.column(key), value_col: g.column(value_col),
-                         "cnt": g.column("count_all")})
+    def pairs(batch: pa.Table) -> pa.Table:
+        return pa.table({key: batch.column(key),
+                         value_col: pc.cast(batch.column(value_col), pa.float64()),
+                         "cnt": pa.array(np.ones(batch.num_rows, np.int64))})
 
-    return (
-        ds.map_batches(partial_counts, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby([key, value_col]).sum("cnt")
+    return group_aggregate(
+        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+        [key, value_col], {"cnt": "sum"},
+        pa.schema([(key, pa.string()), (value_col, pa.float64()), ("cnt", pa.int64())])
     ).to_pandas()
 
 
@@ -645,15 +644,20 @@ def grouped_value_ranks(ds, key: str, value_col: str, *,
     values — SQL tie semantics; DENSE = index among distinct values), the
     maps broadcast once, and a stateless scan annotates every row via
     searchsorted.  The fact table never moves — only the count partials do.
+    An empty input gives a typed empty ``pa.Table``.
     """
-    import ray
-
     counts = group_value_counts(ds, key, value_col)
+    if counts.empty:
+        # No rows: map_batches would skip the zero-row blocks and leave them
+        # without the rank columns, so return a typed empty table.
+        schema = ds.schema().base_schema
+        return pa.table({**{c: pa.array([], schema.field(c).type) for c in carry_cols},
+                         rank_col: pa.array([], pa.int64()), dense_col: pa.array([], pa.int64())})
     maps: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for k, grp in counts.groupby(key, sort=True):
         grp = grp.sort_values(value_col)
         vals = grp[value_col].to_numpy()
-        cnts = grp["sum(cnt)"].to_numpy()
+        cnts = grp["cnt"].to_numpy()
         rnk = np.concatenate([[0], cnts.cumsum()[:-1]]) + 1
         dense = np.arange(1, vals.size + 1, dtype=np.int64)
         maps[str(k)] = (vals, rnk.astype(np.int64), dense)
@@ -693,7 +697,7 @@ def exact_group_mode(ds, key: str, value_col: str) -> pa.Table:
     for k, grp in counts.groupby(key, sort=True):
         grp = grp.sort_values([key, value_col])
         vals = grp[value_col].to_numpy()
-        cnts = grp["sum(cnt)"].to_numpy()
+        cnts = grp["cnt"].to_numpy()
         best = np.lexsort((vals, -cnts))[0]
         out_keys.append(str(k))
         out_mode.append(float(vals[best]))
@@ -784,23 +788,17 @@ def tree_reduce_states(states_ds, combine, *, state_col: str = "state",
     return combine(final) if final else None
 
 
-def keyed_tree_reduce(partials_ds, combine_pair, *, fan_in: int = 64,
-                      driver_threshold: int = 256):
-    """Per-key bounded tree reduction over JSON-dict partial rows.
+def keyed_tree_reduce(partials_ds, combine_pair):
+    """Per-key bounded tree reduction over JSON-dict partial rows, for
+    sub-states that are not plain int64 sums, minima or maxima (those go
+    through :func:`group_aggregate`): HLL registers, t-digests, top-k
+    lists, mixed-type min/max, Python-int moments.
 
     Each row of ``partials_ds`` (column ``state``) is a JSON object mapping
     group key -> associative sub-state; ``combine_pair(a, b)`` merges two
     sub-states for the same key.  Returns ``{key: merged_state}`` ({} for an
-    empty input).
-
-    This is the scale-correct finalize for LOW-cardinality grouped reports:
-    a ``groupby`` on a handful of keys range-partitions into mostly-EMPTY
-    partitions, and Ray's Aggregate emits those as zero-column blocks that
-    poison downstream schemas (the streaming_executor_state.py:793 RefBundle
-    warnings in BENCH_r03).  A keyed tree reduction moves only
-    ``keys x fan-in`` JSON rows per round, keeps driver intake bounded by
-    ``driver_threshold``, and lets the caller build the tiny report with an
-    explicit Arrow schema."""
+    empty input).  The driver intake is bounded as in
+    :func:`tree_reduce_states`."""
     def combine(states: list[dict]) -> dict:
         out: dict = {}
         for st in states:
@@ -808,9 +806,63 @@ def keyed_tree_reduce(partials_ds, combine_pair, *, fan_in: int = 64,
                 out[k] = v if k not in out else combine_pair(out[k], v)
         return out
 
-    state = tree_reduce_states(partials_ds, combine, fan_in=fan_in,
-                               driver_threshold=driver_threshold)
+    state = tree_reduce_states(partials_ds, combine)
     return state if state is not None else {}
+
+
+# Blocks one step of group_aggregate combines: a worker task of a round, or
+# the last combine on the driver.
+GROUP_FAN_IN = 64
+
+
+def _group_blocks(keys: list[str], aggs: dict[str, str], schema: pa.Schema,
+                  *blocks: pa.Table) -> pa.Table:
+    """One Arrow hash aggregate over ``blocks``, its columns selected by
+    name and cast to ``schema``.  Zero-row blocks are dropped: Ray Data
+    passes them by a map without calling it, so they keep their input
+    columns."""
+    blocks = [b for b in blocks if b.num_rows]
+    if not blocks:
+        return schema.empty_table()
+    g = pa.concat_tables(blocks).group_by(keys, use_threads=False) \
+        .aggregate(list(aggs.items()))
+    cols = {**{k: g.column(k) for k in keys},
+            **{c: g.column(f"{c}_{op}") for c, op in aggs.items()}}
+    return pa.table({n: cols[n] for n in schema.names}).cast(schema)
+
+
+_group_task = ray.remote(_group_blocks)
+
+
+def group_aggregate(ds, keys: list[str], aggs: dict[str, str],
+                    schema: pa.Schema) -> pa.Table:
+    """``SELECT keys, op(col)... GROUP BY keys`` over the rows of ``ds``,
+    for a LOW-cardinality key set.  ``aggs`` maps a column to ``"sum"``,
+    ``"min"`` or ``"max"``; an output column keeps its input column's name.
+    Returns one driver-side ``pa.Table`` with ``schema``'s columns, sorted
+    by ``keys``; NULL keys group as in SQL and sort last.  An empty input
+    gives a zero-row table of ``schema``.
+
+    The three ops are associative, so one Arrow hash aggregate serves every
+    step.  Each batch of ``ds`` collapses to its groups in the caller's
+    fused map, so callers emit row-level (or already grouped) columns.
+    While more than ``GROUP_FAN_IN`` blocks remain, worker tasks combine
+    them ``GROUP_FAN_IN`` at a time; the driver holds only block refs.  The
+    last combine runs on the driver over at most ``GROUP_FAN_IN`` blocks x
+    groups rows.  High-cardinality keys (terms, user ids) do not belong
+    here: every step holds all of its groups at once.  An integer sum is
+    int64 and, as in Arrow, wraps past 2^63 - 1: a sum that can pass it
+    (the Σy² moments of ``corr_stats_by_returnflag``) stays on
+    :func:`keyed_tree_reduce`'s Python ints.
+    """
+    refs = ds.map_batches(functools.partial(_group_blocks, keys, aggs, schema),
+                          batch_format="pyarrow", zero_copy_batch=True) \
+        .materialize().to_arrow_refs()
+    while len(refs) > GROUP_FAN_IN:
+        refs = [_group_task.remote(keys, aggs, schema, *refs[i:i + GROUP_FAN_IN])
+                for i in range(0, len(refs), GROUP_FAN_IN)]
+    return _group_blocks(keys, aggs, schema, *ray.get(refs)) \
+        .sort_by([(k, "ascending") for k in keys])
 
 
 def shuffle_partitions(n_rows: int, *, rows_per_partition: int = 2_000_000,

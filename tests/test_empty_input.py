@@ -4,8 +4,10 @@ Ray Data's Aggregate emits zero-column blocks for empty partitions and
 map_batches SKIPS the UDF on zero-row blocks, so a query that finalizes a
 low-cardinality group report through a second groupby degrades to a
 schema-less empty dataset on an all-filtered input — while DuckDB returns a
-TYPED empty result.  The queries fixed for this (keyed_tree_reduce finalize)
-must hash-match DuckDB on a fully empty corpus, typed columns included.
+TYPED empty result.  The queries here finalize through
+``stages.group_aggregate`` (which returns a zero-row table of the caller's
+schema), a JSON keyed tree reduction, or an explicit typed guard, and must
+hash-match DuckDB on a fully empty corpus, typed columns included.
 """
 from __future__ import annotations
 
@@ -30,7 +32,16 @@ EMPTY_SAFE = ["distinct_users_by_type", "distinct_users_events",
               "boilerplate_ngrams", "user_order_activity",
               "event_type_transitions",
               # round-5: zero rows on empty input (SQL HAVING guard)
-              "events_key_skew"]
+              "events_key_skew",
+              # finalized through group_aggregate:
+              "orders_price_bands", "quantity_histogram", "source_quality_report",
+              "drift_events_split", "drift_divergences_split", "heavy_hitter_terms",
+              "events_daily_by_type", "csv_events_daily", "csv_gz_events_daily",
+              "orc_events_daily", "ipc_events_daily", "orders_rollup", "orders_cube",
+              "orders_grouping_sets", "events_dow_pivot", "supplier_stats_by_region",
+              "events_hopping_window", "quantiles_by_returnflag",
+              "mad_quantity_by_returnflag", "mode_quantity_by_returnflag",
+              "lineitem_quantity_ranks", "revenue_by_segment_day", "revenue_by_brand"]
 
 
 @pytest.fixture(scope="module")

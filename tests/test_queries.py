@@ -230,28 +230,55 @@ def test_dim_join_nulls_follow_sql(name, gate, ray_session, monkeypatch, tmp_pat
     _assert_dim_query_matches_oracle(name, tmp_path, con)
 
 
-def test_group_sums_rounds_keep_null_groups(ray_session):
-    """More blocks than one task combines force a combine round; NULL and
-    the empty string stay two groups, and NULLs sort last."""
+def test_group_aggregate_rounds_keep_null_groups(ray_session, monkeypatch):
+    """133 blocks force a worker round, so the driver's last combine takes
+    at most GROUP_FAN_IN blocks.  Sums, minima and maxima equal one Arrow
+    group_by over all the rows; NULL and the empty string stay two groups,
+    and NULLs sort last."""
     import ray.data
 
-    from engine import joins
+    from engine import stages
 
     rng = np.random.default_rng(3)
     segs = np.array(["A", "B", None, ""], dtype=object)
     months = np.array(["1995-01", None, "1996-12"], dtype=object)
-    blocks = [pa.table({"seg": pa.array(segs[rng.integers(0, 4, 30)], pa.string()),
-                        "month": pa.array(months[rng.integers(0, 3, 30)], pa.string()),
-                        "n": pa.array(rng.integers(0, 100, 30), pa.int64())})
-              for _ in range(2 * joins.GROUP_FAN_IN + 5)]
+
+    def block(n: int = 30) -> pa.Table:
+        v = pa.array(rng.integers(-1000, 1000, n), pa.int64())
+        return pa.table({"seg": pa.array(segs[rng.integers(0, 4, n)], pa.string()),
+                         "month": pa.array(months[rng.integers(0, 3, n)], pa.string()),
+                         "n": v, "lo": v, "hi": v})
+
+    blocks = [block() for _ in range(133)]
     blocks.append(blocks[0].slice(0, 0))
-    out = joins.group_sums(ray.data.from_arrow(blocks), ["seg", "month"], ["n"]).materialize()
-    g = pa.concat_tables(blocks).group_by(["seg", "month"]).aggregate([("n", "sum")])
+    aggs = {"n": "sum", "lo": "min", "hi": "max"}
+    schema = pa.schema([("seg", pa.string()), ("month", pa.string()),
+                        *((c, pa.int64()) for c in aggs)])
+
+    driver_blocks, round_tasks = [], []
+    combine, task = stages._group_blocks, stages._group_task
+
+    class CountingTask:
+        def remote(self, *args):
+            round_tasks.append(len(args) - 3)
+            return task.remote(*args)
+
+    def driver_combine(keys, aggs, schema, *blocks):
+        driver_blocks.append(len(blocks))
+        return combine(keys, aggs, schema, *blocks)
+
+    monkeypatch.setattr(stages, "_group_blocks", driver_combine)
+    monkeypatch.setattr(stages, "_group_task", CountingTask())
+    out = stages.group_aggregate(ray.data.from_arrow(blocks), ["seg", "month"], aggs, schema)
+
+    g = pa.concat_tables(blocks).group_by(["seg", "month"]).aggregate(list(aggs.items()))
     want = pa.table({"seg": g.column("seg"), "month": g.column("month"),
-                     "n": g.column("n_sum")}) \
+                     **{c: g.column(f"{c}_{op}") for c, op in aggs.items()}}) \
         .sort_by([("seg", "ascending"), ("month", "ascending")])
-    assert out.num_blocks() == 1
-    assert out.take_all() == want.to_pylist()
+    assert round_tasks and max(round_tasks) <= stages.GROUP_FAN_IN
+    assert len(driver_blocks) == 1 and driver_blocks[0] <= stages.GROUP_FAN_IN
+    assert out.schema == schema
+    assert out.to_pylist() == want.to_pylist()
     assert want.num_rows == 12
 
 
@@ -283,6 +310,51 @@ def test_dim_join_logs_its_strategy(ray_session, monkeypatch, caplog, tmp_path):
     monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
     assert planned(SF_DIR) == [
         "orders_per_segment: shuffle join, build side 150 rows (over gate)"]
+
+
+NULL_KEY_QUERIES = ["events_daily_by_type", "events_dow_pivot",
+                    "events_hopping_window", "supplier_stats_by_region"]
+
+
+@pytest.mark.parametrize("name", NULL_KEY_QUERIES)
+def test_null_group_keys_follow_sql(name, ray_session, tmp_path):
+    """A NULL event_type groups as NULL, as in DuckDB.  A supplier whose
+    nation or region is missing, or whose nation key is NULL, joins
+    nothing; a region with a NULL name groups as NULL."""
+    import datetime as dt
+
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+    from tools.check_oracles import canonical_hash, to_pandas
+
+    hour = dt.timedelta(hours=1)
+    t0 = dt.datetime(2024, 1, 1, 5)
+    tables = {
+        "events": {"event_type": pa.array(["click", None, "view", None, "click", None, "view"]),
+                   "ts": pa.array([t0, t0, t0 + 4 * hour, t0 + 30 * hour, t0 + 50 * hour,
+                                   t0 + 50 * hour, t0 + 100 * hour], pa.timestamp("us")),
+                   "value": pa.array([1.25, 2.5, 3.0, 4.75, 5.5, 6.0, 7.125])},
+        "supplier": {"s_nationkey": pa.array([0, 1, 2, 3, None, 7, 1, 0], pa.int32()),
+                     "s_acctbal": pa.array([10.5, 20.25, 30.0, 40.0, 50.0, 60.0, 70.0, -5.5])},
+        "nation": {"n_nationkey": pa.array([0, 1, 2, 3], pa.int32()),
+                   "n_regionkey": pa.array([0, 1, 9, 0], pa.int32())},
+        "region": {"r_regionkey": pa.array([0, 1], pa.int32()),
+                   "r_name": pa.array(["AFRICA", None], pa.string())},
+    }
+    con = duckdb.connect()
+    for t, cols in tables.items():
+        pq.write_table(pa.table(cols), str(tmp_path / f"{t}.parquet"))
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')")
+
+    mine = to_pandas(entrymod.queries()[name](str(tmp_path)))
+    want = con.sql(entrymod.oracle_sql()[name]).df()
+    key = "region" if name == "supplier_stats_by_region" else "event_type"
+    assert want[key].isna().any()
+    assert sorted(mine.columns) == sorted(want.columns)
+    assert len(mine) == len(want)
+    assert canonical_hash(mine) == canonical_hash(want), (mine, want)
 
 
 @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf"), None])
