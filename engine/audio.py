@@ -417,6 +417,8 @@ def encode_audio(signal: np.ndarray, sr_hz: int, codec: str) -> bytes:
 
 
 def decode_any(raw: bytes, codec: str) -> tuple[np.ndarray, int]:
+    if raw is None:                     # a NULL cell of the bytes column
+        raise AudioDecodeError("null payload")
     if codec in PCM_CODECS or codec in G711_CODECS or codec in ADPCM_CODECS:
         return decode_wav(raw)
     if codec == "flac":

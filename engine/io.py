@@ -170,9 +170,10 @@ class AudioShardSink:
 
         from engine.audio import AudioDecodeError, decode_any
         from engine.flac import encode_flac
+        from engine.stages import binary_views
 
         ids = batch.column(self.id_col).to_pylist()
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         codecs = batch.column(self.codec_col).to_pylist()
         # Digest EVERY clip id: (first, last, count) collides for two
         # batches whose interiors differ after a reshuffle, silently
@@ -192,7 +193,7 @@ class AudioShardSink:
         off = 0
         for i in range(len(ids)):
             try:
-                sig, sr = decode_any(blobs[i].as_py(), codecs[i])
+                sig, sr = decode_any(blobs[i], codecs[i])
             except (AudioDecodeError, NotImplementedError) as exc:
                 shards.append(None)
                 errors.append(f"decode: {exc}")

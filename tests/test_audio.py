@@ -233,3 +233,50 @@ def test_audio_stage_verdicts_match_bytes_payloads():
         assert out.column("audio_ok")[i].as_py() == w["audio_ok"], i
         snr = out.column("snr_db")[i].as_py()
         assert (snr is None or snr != snr) if w["snr_db"] is None else snr == w["snr_db"], i
+
+
+def _batch_with_a_null_payload(codec: str):
+    """Two clips of one codec: a NULL ``bytes`` cell, then a good payload."""
+    import pyarrow as pa
+
+    from engine.audio import encode_audio
+
+    sr, dur_ms = 16_000, 250
+    good = encode_audio(reference_signal("clip-1", sr, sr * dur_ms // 1000), sr, codec)
+    batch = pa.table({
+        "clip_id": ["clip-0", "clip-1"],
+        "sr_hz": pa.array([sr, sr], pa.int64()),
+        "dur_ms": pa.array([dur_ms, dur_ms], pa.int64()),
+        "codec": [codec, codec],
+        "bytes": pa.array([None, good], pa.large_binary()),
+    })
+    return batch, check_clip_audio("clip-1", good, sr, dur_ms, codec)
+
+
+@pytest.mark.parametrize("codec", ["pcm16", "pcm8", "opus", "flac"])
+def test_null_payload_fails_its_row_in_the_check_stage(codec):
+    """A NULL payload is a decode error of its own row; the rest of the
+    batch is checked as usual."""
+    from engine.stages import AudioCheckStage
+
+    batch, want = _batch_with_a_null_payload(codec)
+    out = AudioCheckStage()(batch)
+    assert out.column("audio_ok").to_pylist() == [False, want["audio_ok"]]
+    assert out.column("audio_error").to_pylist() == ["decode: null payload",
+                                                     want["audio_error"]]
+
+
+@pytest.mark.parametrize("codec", ["pcm16", "pcm8", "opus", "flac"])
+def test_null_payload_becomes_a_manifest_error_in_the_shard_sink(codec, tmp_path):
+    """The shard sink writes a NULL-payload clip as a manifest row with a
+    NULL shard and the decode error, and still packs the good clip."""
+    from engine.io import AudioShardSink, read_shard_clip
+
+    batch, _ = _batch_with_a_null_payload(codec)
+    manifest = AudioShardSink(str(tmp_path))(batch).to_pylist()
+    assert manifest[0]["shard"] is None
+    assert manifest[0]["error"] == "decode: null payload"
+    good = manifest[1]
+    assert good["error"] is None and good["n_samples"] == 4_000
+    raw = read_shard_clip(str(tmp_path), good["shard"], good["offset"], good["length"])
+    assert raw[:4] == b"fLaC" and len(raw) == good["length"]

@@ -12,6 +12,8 @@ import pytest
 
 from engine.audio import AudioDecodeError
 from engine.flac import (
+    _BitReader,
+    _decode_residual,
     _rice_bits,
     _signed_bits_vec,
     _uint_bits,
@@ -447,3 +449,182 @@ def test_every_one_bit_flip_in_a_frame_is_rejected():
             else:
                 with pytest.raises(AudioDecodeError):
                     decode_flac(bytes(bad))
+
+
+# ------------------------------------------------ Rice reader vs the definition
+
+
+class _ScalarBits:
+    """The definition: one bit at a time, MSB first."""
+
+    def __init__(self, bits: np.ndarray) -> None:
+        self.bits = bits.tolist()
+        self.pos = 0
+
+    def bit(self) -> int:
+        self.pos += 1
+        return self.bits[self.pos - 1]
+
+    def uint(self, n: int) -> int:
+        v = 0
+        for _ in range(n):
+            v = (v << 1) | self.bit()
+        return v
+
+
+def _scalar_residual(bits: np.ndarray, blocksize: int, order: int):
+    """A residual section read bit by bit (RFC 9639 §9.2.7): the values and
+    the position after the section."""
+    r = _ScalarBits(bits)
+    pbits = 4 + r.uint(2)
+    porder = r.uint(4)
+    out = []
+    for pi in range(1 << porder):
+        nsamp = (blocksize >> porder) - (order if pi == 0 else 0)
+        param = r.uint(pbits)
+        if param == (1 << pbits) - 1:
+            width = r.uint(5)
+            for _ in range(nsamp):
+                v = r.uint(width)
+                out.append(v - (1 << width) if width and v >> (width - 1) else v)
+            continue
+        for _ in range(nsamp):
+            q = 0
+            while not r.bit():
+                q += 1
+            z = (q << param) | r.uint(param)
+            out.append(-(z >> 1) - 1 if z & 1 else z >> 1)
+    return out, r.pos
+
+
+@st.composite
+def _residual_sections(draw):
+    """(bits, blocksize, order) of one residual section: Rice method 0 or 1,
+    partition order 0-4, the predictor order taken off partition 0, escaped
+    partitions, quotients in the thousands and all-ones remainders."""
+    method = draw(st.integers(0, 1))
+    pbits = 4 + method
+    porder = draw(st.integers(0, 4))
+    order = draw(st.integers(0, 4))
+    size = draw(st.integers(max(1, order + (1 if porder else 0)), 16))
+    pieces = [_uint_bits(method, 2), _uint_bits(porder, 4)]
+    for pi in range(1 << porder):
+        nsamp = size - (order if pi == 0 else 0)
+        if draw(st.integers(0, 5)) == 0:
+            width = draw(st.integers(0, 31))
+            lim = (1 << width) >> 1
+            vals = draw(st.lists(st.integers(-lim, max(lim - 1, 0)),
+                                 min_size=nsamp, max_size=nsamp))
+            pieces += [_uint_bits((1 << pbits) - 1, pbits), _uint_bits(width, 5),
+                       _signed_bits_vec(np.array(vals, dtype=np.int64), width)]
+            continue
+        k = draw(st.integers(0, (1 << pbits) - 2))
+        mask = (1 << k) - 1
+        zs = []
+        for _ in range(nsamp):
+            q = draw(st.one_of(st.integers(0, 3), st.integers(0, 3),
+                               st.integers(1000, 3000)))
+            rem = draw(st.one_of(st.just(mask), st.integers(0, mask)))
+            zs.append((q << k) | rem)
+        z = np.array(zs, dtype=np.int64)
+        resid = np.where(z & 1, -(z >> 1) - 1, z >> 1)
+        pieces += [_uint_bits(k, pbits), _rice_bits(resid, k)]
+    trailer = draw(st.lists(st.integers(0, 1), max_size=24))
+    pieces.append(np.array(trailer, dtype=np.uint8))
+    return np.concatenate(pieces), size << porder, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(section=_residual_sections(), data=st.data())
+def test_rice_reader_matches_scalar_reference_hypothesis(section, data):
+    """The vectorized Rice reader returns the definition's values and stops
+    where it does; every byte-truncation of the section raises
+    AudioDecodeError."""
+    bits, blocksize, order = section
+    raw = np.packbits(bits).tobytes()
+    want, end = _scalar_residual(bits, blocksize, order)
+    rd = _BitReader(raw)
+    got = _decode_residual(rd, blocksize, order)
+    assert got.tolist() == want
+    assert rd.pos == end
+    need = -(-end // 8)                     # bytes the section touches
+    if need <= 160:
+        cuts = range(need)
+    else:
+        cuts = {need - 1, need - 2, 0,
+                data.draw(st.integers(0, need - 1), label="cut")}
+    for cut in cuts:
+        with pytest.raises(AudioDecodeError):
+            _decode_residual(_BitReader(raw[:cut]), blocksize, order)
+
+
+def test_rice_reader_resynchronises_through_long_codes():
+    """Codes whose remainders are all one-bits put a one-bit after every
+    terminator; quotients in the thousands force the window to grow and
+    resume mid-partition.  Both against the definition, at k = 0 and 30."""
+    for k in (0, 1, 13, 30):
+        mask = (1 << k) - 1
+        q = np.tile([0, 2500, 1, 0, 4000, 3], 40)
+        z = (q.astype(np.int64) << k) | mask
+        resid = np.where(z & 1, -(z >> 1) - 1, z >> 1)
+        method = 0 if k <= 14 else 1
+        bits = np.concatenate([_uint_bits(method, 2), _uint_bits(0, 4),
+                               _uint_bits(k, 4 + method), _rice_bits(resid, k),
+                               np.ones(64, dtype=np.uint8)])
+        rd = _BitReader(np.packbits(bits).tobytes())
+        assert _decode_residual(rd, resid.size, 0).tolist() == resid.tolist()
+        assert rd.pos == bits.size - 64
+
+
+def _fixed_rice_frame() -> tuple[bytes, np.ndarray]:
+    """A one-frame stream: FIXED order 2, two Rice partitions (k = 6, 8),
+    over a sine that starts at zero (so the first warmup is 16 zero bits)."""
+    expected = np.round(3000 * np.sin(2 * np.pi * np.arange(64) / 23)).astype(np.int16)
+    order = 2
+    resid = np.diff(expected.astype(np.int64), n=order)
+    sub = [_uint_bits((0b001000 | order) << 1, 8),      # FIXED(2), no waste
+           _signed_bits_vec(expected[:order].astype(np.int64), 16),
+           _uint_bits(0, 2), _uint_bits(1, 4)]             # rice, 2 partitions
+    for part, k in ((resid[:32 - order], 6), (resid[32 - order:], 8)):
+        sub += [_uint_bits(k, 4), _rice_bits(part, k)]
+    return _make_stream(np.concatenate(sub), expected.size, expected), expected
+
+
+def test_every_one_bit_flip_in_a_rice_frame_is_rejected():
+    """Corruption inside Rice-coded residuals must surface as
+    AudioDecodeError (the only error the clip check catches), never as an
+    IndexError / ValueError / OverflowError from a vectorized gather or a
+    recurrence: every single-bit flip of the frame and every truncation."""
+    raw, expected = _fixed_rice_frame()
+    dec, _ = decode_flac(raw)
+    assert np.array_equal(dec, expected)
+    frame_start = 42
+    for byte in range(frame_start, len(raw)):
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[byte] ^= 1 << bit
+            with pytest.raises(AudioDecodeError):
+                decode_flac(bytes(bad))
+    for cut in range(len(raw)):
+        with pytest.raises(AudioDecodeError):
+            decode_flac(raw[:cut])
+
+
+def test_decode_peak_memory_is_bounded_by_the_payload():
+    """A 30 s, 44.1 kHz mono stream decodes within 85x its size of traced
+    allocations: the reader keeps one byte per bit and per-window tables,
+    nothing per bit of the whole stream in int64."""
+    import tracemalloc
+
+    from engine.audio import encode_audio, reference_signal
+
+    n = 30 * 44_100
+    raw = encode_audio(reference_signal("clip-30s", 44_100, n), 44_100, "flac")
+    tracemalloc.start()
+    try:
+        pcm, sr = decode_flac(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sr == 44_100 and pcm.shape == (n,)
+    assert peak <= 85 * len(raw), peak / len(raw)
