@@ -988,6 +988,7 @@ def _audio_trim_report(sf_dir: str):
                          batch_size=128, concurrency=_codec_pool())
 
     def finalize(t: pa.Table) -> pa.Table:
+        rms = t.column("kept_rms").to_numpy(zero_copy_only=False)
         return pa.table({
             "aud_id": t.column("aud_id"),
             "codec": t.column("codec"),
@@ -996,9 +997,9 @@ def _audio_trim_report(sf_dir: str):
             "lead_sil": t.column("lead_sil"),
             "trail_sil": t.column("trail_sil"),
             "n_kept": t.column("n_kept"),
-            "kept_rms": pa.array(_half_away_round(
-                t.column("kept_rms").to_numpy(zero_copy_only=False), 4),
-                pa.float64()),
+            # NULL (not NaN) where nothing is kept, as in the oracle
+            "kept_rms": pa.array(_half_away_round(rms, 4), pa.float64(),
+                                 mask=np.isnan(rms)),
         })
 
     return out.map_batches(finalize, batch_format="pyarrow",

@@ -275,7 +275,7 @@ class AudioTrimStage:
             .append_column("lead_sil", pa.array(lead)) \
             .append_column("trail_sil", pa.array(trail)) \
             .append_column("n_kept", pa.array(kept)) \
-            .append_column("kept_rms", pa.array(kept_rms))
+            .append_column("kept_rms", pa.array(kept_rms, mask=np.isnan(kept_rms)))
 
 
 class AudioResampleStage:

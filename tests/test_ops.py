@@ -760,7 +760,8 @@ def test_image_resize_stage_matches_numpy():
 
 def test_audio_trim_stage_edges(ray_session):
     """Trim conventions: exact-zero pads, all-silent → lead=n, undecodable
-    rows report decode_ok=False with zeroed counters."""
+    rows report decode_ok=False with zeroed counters; kept_rms is NULL
+    (not NaN) where nothing is kept."""
     from engine.audio import encode_audio
     from engine.ops.multimodal import AudioTrimStage
 
@@ -780,7 +781,7 @@ def test_audio_trim_stage_edges(ray_session):
     assert out.column("trail_sil").to_pylist() == [30, 0, 0]
     assert out.column("n_kept").to_pylist() == [50, 0, 0]
     rms = out.column("kept_rms").to_pylist()
-    assert abs(rms[0] - 0.25) < 1e-3 and np.isnan(rms[1]) and np.isnan(rms[2])
+    assert abs(rms[0] - 0.25) < 1e-3 and rms[1] is None and rms[2] is None
 
 
 def test_audio_resample_stage_matches_interp(ray_session):
