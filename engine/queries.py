@@ -1,9 +1,9 @@
 """Graded query implementations over the driver test tables.
 
 Each function takes ``sf_dir`` and returns a small result (pyarrow Table or
-Dataset) that matches its DuckDB oracle in ``__ray_entry__.oracle_sql`` by
-column NAME and VALUE.  Conventions that make distributed float math
-hash-stable against a single-process SQL engine:
+Dataset) that matches the DuckDB oracle of its row in
+``__ray_entry__._catalog`` by column NAME and VALUE.  Conventions that make
+distributed float math hash-stable against a single-process SQL engine:
 
   - money sums go through integer cents (order-independent exact int64 sums);
   - derived ratios are computed from those exact ints, then rounded;

@@ -134,17 +134,46 @@ def test_query_matches_oracle(name, ray_session, oracle_con):
 
 def test_driver_cap_curation():
     """The driver's correctness gate samples the FIRST 50 keys of queries()
-    in dict order (r04 lesson) — both dicts must lead with the curated set."""
+    in dict order (r04 lesson): both dicts follow the catalog's row order,
+    so they lead with the same 50 names, and every one carries SQL."""
     import __ray_entry__ as entrymod
 
-    prio = entrymod._ORACLE_PRIORITY
-    assert len(prio) == 50
+    rows = entrymod._catalog()
     qkeys = list(entrymod.queries())
     okeys = list(entrymod.oracle_sql())
-    assert qkeys[:50] == prio
-    assert okeys[:50] == prio
-    # every in-cap query must carry a DuckDB hash oracle
-    assert set(prio) <= set(okeys)
+    assert qkeys == [name for name, _, _ in rows]
+    assert okeys == [name for name, _, sql in rows if sql is not None]
+    assert qkeys[:50] == okeys[:50]
+    assert all(sql is not None for _, _, sql in rows[:50])
+
+
+def test_catalog_names_unique(monkeypatch):
+    """A dict built from the catalog would drop a repeated name silently,
+    so the catalog refuses one."""
+    import __ray_entry__ as entrymod
+
+    names = [name for name, _, _ in entrymod._catalog()]
+    assert len(names) == len(set(names))
+    rows = entrymod._catalog()
+    monkeypatch.setattr(entrymod, "_catalog", lambda: rows + rows[:1])
+    for view in (entrymod.queries, entrymod.oracle_sql):
+        with pytest.raises(ValueError, match=rows[0][0]):
+            view()
+
+
+def test_name_lists_exist_in_catalog():
+    """Every hand-kept list of query names names a real query (the oracled
+    lists a SQL-oracled one)."""
+    import __ray_entry__ as entrymod
+    from bench import QUERY_BENCH_NAMES
+    from perfbench.workloads import QUERY_MIX
+    from tests.test_empty_input import EMPTY_SAFE
+
+    qs, oracled = set(entrymod.queries()), set(entrymod.oracle_sql())
+    for names, known in ((FAST_ORACLED, oracled), (NULL_KEY_QUERIES, oracled),
+                         (EMPTY_SAFE, oracled), (QUERY_MIX, oracled),
+                         (QUERY_BENCH_NAMES, qs)):
+        assert set(names) <= known, sorted(set(names) - known)
 
 
 def test_entry_smoke(ray_session):
