@@ -682,11 +682,11 @@ def _codec_query(n: int, synth: Callable[[pa.Table], pa.Table], stage: type,
     (and all-silent trims) match the oracle's NULL by type, not just by
     the stringified hash.  The corpus is generated, so ``sf_dir`` is
     never read."""
+    from engine.queries import _half_away_round
+
     rounded = rounded or {}
 
     def select(t: pa.Table) -> pa.Table:
-        from engine.queries import _half_away_round
-
         if finalize is not None:
             t = finalize(t)
         out = {}

@@ -149,12 +149,12 @@ def test_driver_cap_curation():
 
 def test_catalog_names_unique(monkeypatch):
     """A dict built from the catalog would drop a repeated name silently,
-    so the catalog refuses one."""
+    so queries() and oracle_sql() refuse one."""
     import __ray_entry__ as entrymod
 
-    names = [name for name, _, _ in entrymod._catalog()]
-    assert len(names) == len(set(names))
     rows = entrymod._catalog()
+    names = [name for name, _, _ in rows]
+    assert len(names) == len(set(names))
     monkeypatch.setattr(entrymod, "_catalog", lambda: rows + rows[:1])
     for view in (entrymod.queries, entrymod.oracle_sql):
         with pytest.raises(ValueError, match=rows[0][0]):
