@@ -59,6 +59,13 @@ FAST_ORACLED = [
     "g711_audio_features",
     "dedup_near_documents",
     "drift_events_split",
+    # the rest of the per-key window family (stages.window_by_key):
+    "cap_events_per_user",
+    "user_first_last_event",
+    "large_gap_events",
+    "user_event_rank_stats",
+    "top_events_per_user",
+    "doc_edit_distance_adjacent",
     # the synthetic-corpus codec queries: they never read SF_DIR, so this
     # run is their full gate at every scale
     "audio_features",
