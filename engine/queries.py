@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from engine import joins
-from engine.stages import group_aggregate
+from engine.stages import group_aggregate, reraise_udf_value_error, window_by_key
 
 
 def _ones(n: int) -> pa.Array:
@@ -1497,47 +1497,52 @@ FROM embeddings ORDER BY sim DESC, vec_id LIMIT 10
 """
 
 
-# ---------------------------------------------------------------- sessionize
+# ------------------------------------------------- per-key windows, sessionize
 
 
-_SESSION_EMPTY = {
-    "user_id": pa.array([], pa.int64()),
-    "n_events": pa.array([], pa.int64()),
-    "n_sessions": pa.array([], pa.int64()),
-}
+def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """Row count of each key run of a ``window_by_key`` part of ``n`` rows."""
+    return np.diff(np.append(starts, n))
 
 
-def _sessionize_single_stage(ds, gap_us: int, n_parts: int):
-    """Salted-partition sessionization: every event of a user colocates in
-    one partition task (simple, exact; a pathological bot user's whole
-    history must fit that task — see _sessionize_two_stage for the hot-user-
-    safe variant)."""
+def _run_ranks(starts: np.ndarray, n: int) -> np.ndarray:
+    """1-based ROW_NUMBER of each row within its key run."""
+    return np.arange(1, n + 1) - np.repeat(starts, _run_lengths(starts, n))
 
-    def sessionize_partition(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table(_SESSION_EMPTY)
-        uid = group.column("user_id").to_numpy()
-        ts = group.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
-        order = np.lexsort((ts, uid))
-        uid, ts = uid[order], ts[order]
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        new_session = new_user.copy()
-        new_session[1:] |= (ts[1:] - ts[:-1]) > gap_us
-        starts = np.flatnonzero(new_user)
-        counts = np.diff(np.concatenate([starts, [n]]))
-        sessions = np.add.reduceat(new_session.astype(np.int64), starts)
-        return pa.table({
-            "user_id": pa.array(uid[starts]),
-            "n_events": pa.array(counts.astype(np.int64)),
-            "n_sessions": pa.array(sessions),
-        })
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(sessionize_partition, batch_format="pyarrow")
+def _run_pairs(starts: np.ndarray, n: int) -> np.ndarray:
+    """Mask over the n - 1 adjacent row pairs: True where both rows share a
+    key run (the pairs LAG and LEAD see)."""
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    same[starts[1:] - 1] = False
+    return same
+
+
+def _epoch_us(col) -> np.ndarray:
+    """A timestamp column as int64 epoch microseconds."""
+    return col.to_numpy().astype("datetime64[us]").view(np.int64)
+
+
+_SESSIONS = pa.schema([("user_id", pa.int64()), ("n_events", pa.int64()),
+                       ("n_sessions", pa.int64())])
+
+
+def _sessionize_single_stage(ds, gap_us: int):
+    """Per-user sessionization through ``window_by_key``: every event of a
+    user colocates in one partition task (simple, exact; a pathological bot
+    user's whole history must fit that task — see _sessionize_two_stage for
+    the hot-user-safe variant)."""
+
+    def sessions(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        new_session = np.zeros(part.num_rows, dtype=np.int64)
+        new_session[1:] = np.diff(_epoch_us(part.column("ts"))) > gap_us
+        new_session[starts] = 1
+        return pa.table({"user_id": part.column("user_id").take(starts),
+                         "n_events": _run_lengths(starts, part.num_rows),
+                         "n_sessions": np.add.reduceat(new_session, starts)})
+
+    return window_by_key(ds, "user_id", ["ts"], sessions, _SESSIONS,
+                         sort="user_id")
 
 
 def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
@@ -1550,12 +1555,12 @@ def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
     (n_events, n_sessions, first_ts, last_ts) per cell.  A hot user's events
     spread across as many cells as they span buckets.
 
-    Stage 2 shuffles the SMALL summary rows on user % n_parts and stitches:
-    cells of one user, sorted by first_ts, merge a session across each
-    adjacent-cell boundary with first_ts[i+1] - last_ts[i] <= gap.  This is
-    exact for any bucket width because cells of a user cover disjoint,
-    consecutive time ranges — the associative merge the round-2 verdict
-    asked for, not an approximation.
+    Stage 2 moves the SMALL summary rows through ``window_by_key`` on the
+    user and stitches: cells of one user, sorted by first_ts, merge a
+    session across each adjacent-cell boundary with
+    first_ts[i+1] - last_ts[i] <= gap.  This is exact for any bucket width
+    because cells of a user cover disjoint, consecutive time ranges — the
+    associative merge the round-2 verdict asked for, not an approximation.
     """
 
     def bucket_cells(group: pa.Table) -> pa.Table:
@@ -1607,72 +1612,51 @@ def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
             "part": pa.array(part),
         })
 
-    def add_user_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy()
-        part = (uid.astype(np.uint64) % np.uint64(n_parts)).astype(np.int32)
-        return batch.append_column("part", pa.array(part))
-
-    def stitch(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table(_SESSION_EMPTY)
-        uid = group.column("user_id").to_numpy()
-        first = group.column("first_ts").to_numpy()
-        last = group.column("last_ts").to_numpy()
-        ev = group.column("n_events").to_numpy()
-        se = group.column("n_sessions").to_numpy()
-        order = np.lexsort((first, uid))
-        uid, first, last, ev, se = (uid[order], first[order], last[order],
-                                    ev[order], se[order])
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        # Adjacent cells of one user whose boundary gap is within the session
-        # gap merge one session.
-        merged = np.zeros(n, dtype=np.int64)
-        merged[1:] = (~new_user[1:] & (first[1:] - last[:-1] <= gap_us)) \
-            .astype(np.int64)
-        starts = np.flatnonzero(new_user)
+    def stitch(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        # Adjacent cells of one user whose boundary gap is within the
+        # session gap merge one session.
+        first = part.column("first_ts").to_numpy()
+        last = part.column("last_ts").to_numpy()
+        merged = np.zeros(part.num_rows, dtype=np.int64)
+        merged[1:] = first[1:] - last[:-1] <= gap_us
+        merged[starts] = 0
+        ev = part.column("n_events").to_numpy()
+        se = part.column("n_sessions").to_numpy()
         return pa.table({
-            "user_id": pa.array(uid[starts]),
-            "n_events": pa.array(np.add.reduceat(ev, starts)),
-            "n_sessions": pa.array(np.add.reduceat(se, starts)
-                                   - np.add.reduceat(merged, starts)),
+            "user_id": part.column("user_id").take(starts),
+            "n_events": np.add.reduceat(ev, starts),
+            "n_sessions": np.add.reduceat(se, starts)
+            - np.add.reduceat(merged, starts),
         })
 
     cells = ds.map_batches(add_cell_part, batch_format="pyarrow",
                            zero_copy_batch=True) \
         .groupby("part").map_groups(bucket_cells, batch_format="pyarrow")
-    return cells.map_batches(add_user_part, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("part").map_groups(stitch, batch_format="pyarrow")
+    return window_by_key(cells, "user_id", ["first_ts"], stitch, _SESSIONS,
+                         sort="user_id")
 
 
 def sessionize_events(sf_dir: str, gap_minutes: int = 30, *,
                       two_stage: bool = False, bucket_hours: int = 6):
     """Per-user session count (sessions split at >gap inactivity).
 
-    Windowed/stateful semantics expressed Ray-Data-first: hash-shuffle by a
-    SALTED partition key (~4x CPUs partitions), then vectorized session
-    detection inside each partition (lexsort + reduceat) — the groupby
-    dispatch cost is O(partitions), not O(users), same pattern as the
-    near-dup bucket stages.
+    Windowed/stateful semantics expressed Ray-Data-first through
+    ``window_by_key``: one hash exchange on user_id, then vectorized session
+    detection inside each partition (sort + reduceat) — the groupby
+    dispatch cost is O(partitions), not O(users).
 
     Default is the single-shuffle path (each user colocated).  At 100 TB a
     bot user is an OOM risk there; ``two_stage=True`` switches to the exact
     boundary-merge variant where no task holds a full user history.
     """
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     gap_us = gap_minutes * 60 * 1_000_000
     if two_stage:
-        out = _sessionize_two_stage(ds, gap_us, n_parts,
-                                    bucket_us=bucket_hours * 3_600 * 1_000_000)
-    else:
-        out = _sessionize_single_stage(ds, gap_us, n_parts)
-    return out.sort("user_id")
+        from engine.stages import bucket_shuffle_partitions
+
+        return _sessionize_two_stage(ds, gap_us, bucket_shuffle_partitions(),
+                                     bucket_us=bucket_hours * 3_600 * 1_000_000)
+    return _sessionize_single_stage(ds, gap_us)
 
 
 SESSIONIZE_SQL = """
@@ -1806,29 +1790,6 @@ ORDER BY priority, month
 """
 
 
-def _user_part_fn(n_parts: int):
-    """Salted-partition column factory — the shared first stage of every
-    user-window query (rank / cap / lag)."""
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy()
-        part = (uid.astype(np.uint64) % np.uint64(n_parts)).astype(np.int32)
-        return batch.append_column("part", pa.array(part))
-    return add_part
-
-
-def _user_run_ranks(uid_sorted: np.ndarray) -> np.ndarray:
-    """1-based rank within runs of an ALREADY-SORTED user column — the
-    shared vectorized rank kernel of the user-window family (round-3
-    review: this index arithmetic was copy-pasted per query)."""
-    n = uid_sorted.size
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = uid_sorted[1:] != uid_sorted[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.concatenate([starts, [n]]))
-    return np.arange(n, dtype=np.int64) - np.repeat(starts, counts) + 1
-
-
 def events_moving_avg(sf_dir: str, window: int = 7):
     """FRAMED window aggregate: per event type, the trailing-7-day moving
     average of daily event counts (ROWS BETWEEN 6 PRECEDING AND CURRENT
@@ -1924,36 +1885,18 @@ FROM (
 def cap_events_per_user(sf_dir: str, k: int = 5):
     """Per-key cap: keep each user's k EARLIEST events (ts, event_id order)
     — the bot-user downweighting step of an events curation pipeline (a
-    hot key contributes at most k rows downstream).  Same salted-partition
-    windowed-rank shape as top_events_per_user."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
+    hot key contributes at most k rows downstream).  Same windowed-rank
+    shape as top_events_per_user."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
 
-    def cap_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "event_id": pa.array([], pa.int64()),
-                          "ts": pa.array([], pa.timestamp("us"))})
-        n = group.num_rows
-        if n == 0:
-            return empty
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((eid, tsv, uid))
-        uid, eid, tsv = uid[order], eid[order], tsv[order]
-        keep = _user_run_ranks(uid) <= k
-        return pa.table({
-            "user_id": pa.array(uid[keep]),
-            "event_id": pa.array(eid[keep]),
-            "ts": pa.array(tsv[keep].view("datetime64[us]")),
-        })
+    def cap(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        return part.filter(pa.array(_run_ranks(starts, part.num_rows) <= k))
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(cap_partition, batch_format="pyarrow") \
-        .sort(["user_id", "event_id"])
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], cap,
+        pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                   ("ts", pa.timestamp("us"))]),
+        sort=["user_id", "event_id"])
 
 
 CAP_EVENTS_SQL = """
@@ -2024,42 +1967,23 @@ FROM orders ORDER BY o_orderkey
 def user_first_last_event(sf_dir: str):
     """FIRST_VALUE / LAST_VALUE per user over the (ts, event_id) frame —
     the navigation-aggregate pair (arg-min/arg-max by time): each user's
-    first and last event id plus event count, one salted-partition pass
-    (lexsort + run boundaries)."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
+    first and last event id plus event count, one ``window_by_key`` pass
+    (run boundaries of the sorted partition)."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
 
-    def firstlast_partition(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "first_event_id": pa.array([], pa.int64()),
-                             "last_event_id": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64())})
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((eid, tsv, uid))
-        uid, eid = uid[order], eid[order]
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [n]]) - 1
-        return pa.table({
-            "user_id": pa.array(uid[starts]),
-            "first_event_id": pa.array(eid[starts]),
-            "last_event_id": pa.array(eid[ends]),
-            "n_events": pa.array((ends - starts + 1).astype(np.int64)),
-        })
+    def first_last(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        eid = part.column("event_id")
+        lengths = _run_lengths(starts, part.num_rows)
+        return pa.table({"user_id": part.column("user_id").take(starts),
+                         "first_event_id": eid.take(starts),
+                         "last_event_id": eid.take(starts + lengths - 1),
+                         "n_events": lengths})
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(firstlast_partition,
-                                    batch_format="pyarrow") \
-        .sort("user_id")
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], first_last,
+        pa.schema([("user_id", pa.int64()), ("first_event_id", pa.int64()),
+                   ("last_event_id", pa.int64()), ("n_events", pa.int64())]),
+        sort="user_id")
 
 
 USER_FIRST_LAST_SQL = """
@@ -2080,46 +2004,24 @@ def user_running_value(sf_dir: str):
     """Window RUNNING aggregate (SUM ... ROWS UNBOUNDED PRECEDING): each
     event's cumulative value for its user in (ts, event_id) order — the
     lifetime-spend-so-far feature alongside the rank/lag/session window
-    operators.  Same salted-partition shape: one shuffle on user hash, one
-    vectorized lexsort + cumsum-with-run-start-subtraction pass per
-    partition.  Sums run in exact 1e-4 integer units (the table's value
-    precision) so the rounded output hashes against SQL."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
+    operators.  One ``window_by_key`` pass: a cumsum with run-start
+    subtraction per partition.  Sums run in exact 1e-4 integer units (the
+    table's value precision) so the rounded output hashes against SQL."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
 
-    def cum_partition(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "event_id": pa.array([], pa.int64()),
-                "run_value": pa.array([], pa.float64())})
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]").view(np.int64)
-        cents = _half_away_cents(group.column("value").to_numpy(), 10000.0)
-        order = np.lexsort((eid, tsv, uid))
-        uid, eid, cents = uid[order], eid[order], cents[order]
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.concatenate([starts, [n]]))
+    def running(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        cents = _half_away_cents(part.column("value").to_numpy(), 10000.0)
         cum = np.cumsum(cents)
-        base = np.repeat(cum[starts] - cents[starts], counts)
-        return pa.table({
-            "user_id": pa.array(uid),
-            "event_id": pa.array(eid),
-            "run_value": pa.array(
-                _half_away_round((cum - base) / 10000.0, 4)),
-        })
+        base = np.repeat(cum[starts] - cents[starts],
+                         _run_lengths(starts, part.num_rows))
+        return part.append_column(
+            "run_value", pa.array(_half_away_round((cum - base) / 10000.0, 4)))
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(cum_partition, batch_format="pyarrow") \
-        .sort(["user_id", "event_id"])
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], running,
+        pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                   ("run_value", pa.float64())]),
+        sort=["user_id", "event_id"])
 
 
 USER_RUNNING_VALUE_SQL = """
@@ -2137,49 +2039,26 @@ def large_gap_events(sf_dir: str, gap_seconds: int = 3600):
     lag/lead family alongside the rank (top_events_per_user), session
     (sessionize_events) and hopping-window operators.
 
-    Same salted-partition shape as the rest of the window family: one
-    shuffle on user hash, one vectorized lexsort + shifted-difference pass
-    per partition, O(partitions) dispatch.  Gap is exact integer
-    microseconds (epoch_us difference in the oracle).
+    One ``window_by_key`` pass: a shifted difference per partition,
+    O(partitions) dispatch.  Gap is exact integer microseconds (epoch_us
+    difference in the oracle).
     """
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
     thr_us = np.int64(gap_seconds) * np.int64(1_000_000)
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
 
-    def gaps_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "event_id": pa.array([], pa.int64()),
-            "ts": pa.array([], pa.timestamp("us")),
-            "prev_ts": pa.array([], pa.timestamp("us")),
-            "gap_us": pa.array([], pa.int64())})
-        n = group.num_rows
-        if n == 0:
-            return empty
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        ts = group.column("ts").to_numpy().astype("datetime64[us]")
-        tsv = ts.view(np.int64)
-        order = np.lexsort((eid, tsv, uid))
-        uid, eid, tsv = uid[order], eid[order], tsv[order]
-        same = uid[1:] == uid[:-1]
-        gap = tsv[1:] - tsv[:-1]
-        keep = same & (gap > thr_us)
-        idx = np.flatnonzero(keep) + 1
-        return pa.table({
-            "user_id": pa.array(uid[idx]),
-            "event_id": pa.array(eid[idx]),
-            "ts": pa.array(tsv[idx].view("datetime64[us]")),
-            "prev_ts": pa.array(tsv[idx - 1].view("datetime64[us]")),
-            "gap_us": pa.array(gap[idx - 1]),
-        })
+    def gaps(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        gap = np.diff(_epoch_us(part.column("ts")))
+        idx = np.flatnonzero(_run_pairs(starts, part.num_rows) & (gap > thr_us))
+        return part.take(idx + 1) \
+            .append_column("prev_ts", part.column("ts").take(idx)) \
+            .append_column("gap_us", pa.array(gap[idx]))
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(gaps_partition, batch_format="pyarrow") \
-        .sort(["user_id", "event_id"])
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], gaps,
+        pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                   ("ts", pa.timestamp("us")), ("prev_ts", pa.timestamp("us")),
+                   ("gap_us", pa.int64())]),
+        sort=["user_id", "event_id"])
 
 
 def event_type_transitions(sf_dir: str):
@@ -2187,91 +2066,62 @@ def event_type_transitions(sf_dir: str):
     transitions within each user's ts-ordered event sequence — the
     sequence-mining / Markov-chain input every event-log pipeline builds.
 
-    Same user-hash partition shuffle as the window family (each user's
-    history is complete inside one partition, so every transition is
-    local); per partition one vectorized lexsort emits the transition
-    rows, and ``group_aggregate`` counts the <=|types|^2 pairs."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
+    ``window_by_key`` on user_id (each user's history is complete inside
+    one partition, so every transition is local) emits the transition rows
+    unsorted, and ``group_aggregate`` counts the <=|types|^2 pairs."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
                                           "event_type"])
+    schema = pa.schema([("prev_type", pa.string()), ("next_type", pa.string()),
+                        ("n", pa.int64())])
 
-    def transitions_partition(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]") \
-            .view(np.int64)
-        order = np.lexsort((group.column("event_id").to_numpy(), tsv, uid))
-        uid = uid[order]
-        types = group.column("event_type").take(pa.array(order))
-        same = uid[1:] == uid[:-1]
+    def transitions(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        same = _run_pairs(starts, part.num_rows)
         keep = pa.array(same)
+        types = part.column("event_type")
         return pa.table({"prev_type": types[:-1].filter(keep),
                          "next_type": types[1:].filter(keep),
                          "n": _ones(int(same.sum()))})
 
-    partials = ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("part").map_groups(transitions_partition,
-                                    batch_format="pyarrow")
-    return group_aggregate(
-        partials, ["prev_type", "next_type"], {"n": "sum"},
-        pa.schema([("prev_type", pa.string()), ("next_type", pa.string()), ("n", pa.int64())]))
+    partials = window_by_key(ds, "user_id", ["ts", "event_id"], transitions,
+                             schema)
+    try:
+        return group_aggregate(partials, ["prev_type", "next_type"],
+                               {"n": "sum"}, schema)
+    except Exception as err:
+        reraise_udf_value_error(err, "window_by_key:")
+        raise
 
 
 def user_transition_diversity(sf_dir: str):
     """Per-user behavioral diversity: total transitions vs DISTINCT
     transition pairs used (low diversity over many events = scripted/bot
     behavior — the standard sequence-entropy screen, integer-exact).
-    Same user-hash partition as the transition counts; per partition one
-    lexsort + per-user pair dedup, rows are one per user."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
+    Same ``window_by_key`` exchange as the transition counts; per partition
+    one dedup of (run, pair) codes, rows are one per user."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
                                           "event_type"])
 
-    def diversity_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "n_transitions": pa.array([], pa.int64()),
-            "distinct_transitions": pa.array([], pa.int64())})
-        if group.num_rows == 0:
-            return empty
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]") \
-            .view(np.int64)
-        types = np.asarray(group.column("event_type").to_pylist(),
-                           dtype=object)
-        order = np.lexsort((eid, tsv, uid))
-        uid, types = uid[order], types[order]
-        _, codes = np.unique(types, return_inverse=True)
-        k = codes.max() + 1 if codes.size else 1
-        same = uid[1:] == uid[:-1]
-        users, counts, distincts = [], [], []
-        # triple (user, pair) dedup vectorized: unique over composite key
-        pair_user = uid[1:][same]
-        pair_code = codes[:-1][same] * k + codes[1:][same]
-        if pair_user.size:
-            u_all, n_all = np.unique(pair_user, return_counts=True)
-            composite = pair_user * np.int64(k * k) + pair_code
-            uniq_users = np.unique(composite) // np.int64(k * k)
-            u_d, n_d = np.unique(uniq_users, return_counts=True)
-            assert (u_all == u_d).all()
-            users, counts, distincts = u_all, n_all, n_d
+    def diversity(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = part.num_rows
+        types = pc.dictionary_encode(part.column("event_type").combine_chunks())
+        codes = types.indices.to_numpy().astype(np.int64)
+        k = np.int64(len(types.dictionary))
+        same = _run_pairs(starts, n)
+        run = np.repeat(np.arange(starts.size), _run_lengths(starts, n))[1:][same]
+        pairs = np.unique((run * k + codes[:-1][same]) * k + codes[1:][same])
+        runs, n_transitions = np.unique(run, return_counts=True)
         return pa.table({
-            "user_id": pa.array(np.asarray(users, dtype=np.int64)),
-            "n_transitions": pa.array(np.asarray(counts, dtype=np.int64)),
-            "distinct_transitions": pa.array(
-                np.asarray(distincts, dtype=np.int64)),
+            "user_id": part.column("user_id").take(starts[runs]),
+            "n_transitions": n_transitions,
+            "distinct_transitions": np.unique(pairs // (k * k),
+                                              return_counts=True)[1],
         })
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(diversity_partition,
-                                    batch_format="pyarrow") \
-        .sort("user_id")
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], diversity,
+        pa.schema([("user_id", pa.int64()), ("n_transitions", pa.int64()),
+                   ("distinct_transitions", pa.int64())]),
+        sort="user_id")
 
 
 USER_TRANSITION_DIVERSITY_SQL = r"""
@@ -2309,57 +2159,39 @@ def user_range_window_events(sf_dir: str, range_seconds: int = 3600):
     burst-detection window, and the one frame type (value-based, peers
     included) the ROWS-framed operators here don't cover.
 
-    Shape: one salted-partition shuffle on user hash, then a per-partition
+    Shape: one ``window_by_key`` exchange on user_id, then a per-partition
     vectorized pass — user segments are collapsed onto ONE sorted axis by
     offsetting each segment with a span larger than (partition span +
     frame), so both frame edges come from two global ``np.searchsorted``
     calls (no per-user loop).  Sums are over FLOOR(value) in int64, so the
     cumsum-difference is exact and hash-matches SQL.
     """
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
     thr_us = np.int64(range_seconds) * np.int64(1_000_000)
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
 
-    def frame_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "event_id": pa.array([], pa.int64()),
-            "ts": pa.array([], pa.timestamp("us")),
-            "cnt_1h": pa.array([], pa.int64()),
-            "sum_1h": pa.array([], pa.int64())})
-        n = group.num_rows
-        if n == 0:
-            return empty
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]").view(np.int64)
-        val = np.floor(group.column("value").to_numpy(zero_copy_only=False)) \
+    def frame(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        tsv = _epoch_us(part.column("ts"))
+        val = np.floor(part.column("value").to_numpy(zero_copy_only=False)) \
             .astype(np.int64)
-        order = np.lexsort((eid, tsv, uid))
-        uid, eid, tsv, val = uid[order], eid[order], tsv[order], val[order]
         base = tsv - tsv.min()
-        seg = np.concatenate([[0], np.cumsum(uid[1:] != uid[:-1])])
+        seg = np.repeat(np.arange(starts.size),
+                        _run_lengths(starts, part.num_rows))
         span = np.int64(base.max()) + thr_us + 2
-        if (int(seg[-1]) + 1) * int(span) >= 2 ** 62:   # overflow guard
+        if starts.size * int(span) >= 2 ** 62:   # overflow guard
             raise ValueError("range-window: partition span overflow")
         adj = base + seg * span
         lo = np.searchsorted(adj, adj - thr_us, side="left")
         hi = np.searchsorted(adj, adj, side="right")
         cum = np.concatenate([[0], np.cumsum(val)])
-        return pa.table({
-            "user_id": pa.array(uid),
-            "event_id": pa.array(eid),
-            "ts": pa.array(tsv.view("datetime64[us]")),
-            "cnt_1h": pa.array(hi - lo),
-            "sum_1h": pa.array(cum[hi] - cum[lo]),
-        })
+        return part.append_column("cnt_1h", pa.array(hi - lo)) \
+            .append_column("sum_1h", pa.array(cum[hi] - cum[lo]))
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(frame_partition, batch_format="pyarrow") \
-        .sort(["user_id", "event_id"])
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], frame,
+        pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                   ("ts", pa.timestamp("us")), ("cnt_1h", pa.int64()),
+                   ("sum_1h", pa.int64())]),
+        sort=["user_id", "event_id"])
 
 
 def doc_edit_distance_adjacent(sf_dir: str, prefix: int = 64):
@@ -2375,63 +2207,32 @@ def doc_edit_distance_adjacent(sf_dir: str, prefix: int = 64):
     the cap is what keeps the batched DP single-word.  Successor pairing
     is LEAD(doc_id) per lang.
 
-    Scale shape: langs are few and fat, so this groups on a DENSE hashed
-    partition id (a lang never splits; a partition may hold several) and
-    segments by lang inside the kernel — the same shape every window
-    query here uses, which keeps the exchange free of the mostly-empty
-    range partitions a raw 5-key groupby would produce.  At 100 TB the
-    successor pairing would add the boundary-row exchange
-    with_row_number uses."""
+    Scale shape: ``window_by_key`` on lang.  Langs are few and fat: a lang
+    never splits, a partition may hold several, and the kernel pairs rows
+    within each lang run.  At 100 TB the successor pairing would add the
+    boundary-row exchange with_row_number uses."""
     from engine.ops.text import myers_distance_batch64
-    from engine.stages import bucket_shuffle_partitions
 
-    n_parts = bucket_shuffle_partitions()
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        from engine.checks.sketches import HyperLogLog
-
-        langs = np.asarray(
-            [x if x is not None else "\x00" for x in
-             batch.column("lang").to_pylist()], dtype=object)
-        # hash64 is process-stable (unlike builtin str hash) — a lang must
-        # land in exactly one partition on every worker.
-        h = HyperLogLog.hash64(langs) % np.uint64(n_parts)
-        return batch.append_column("part", pa.array(h.astype(np.int64)))
-
-    def pairs_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "lang": pa.array([], pa.string()),
-            "doc_id": pa.array([], pa.int64()),
-            "next_doc_id": pa.array([], pa.int64()),
-            "edit_distance": pa.array([], pa.int64())})
-        n = group.num_rows
-        if n < 2:
-            return empty
-        ids = group.column("doc_id").to_numpy()
-        langs = np.asarray(group.column("lang").to_pylist(), dtype=object)
-        order = np.lexsort((ids, langs.astype(str)))
-        ids = ids[order]
-        langs = langs[order]
+    def pairs(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        idx = np.flatnonzero(_run_pairs(starts, part.num_rows))
         texts = [t.encode()[:prefix] if t is not None else b""
-                 for t in group.column("text").take(pa.array(order)).to_pylist()]
-        same = langs[1:] == langs[:-1]
-        keep = np.flatnonzero(same)
-        if keep.size == 0:
-            return empty
-        dist = myers_distance_batch64([texts[j] for j in keep],
-                                      [texts[j + 1] for j in keep])
+                 for t in part.column("text").to_pylist()]
+        ids = part.column("doc_id")
         return pa.table({
-            "lang": pa.array([str(langs[j]) for j in keep], pa.string()),
-            "doc_id": pa.array(ids[keep]),
-            "next_doc_id": pa.array(ids[keep + 1]),
-            "edit_distance": pa.array(dist),
+            "lang": part.column("lang").take(idx),
+            "doc_id": ids.take(idx),
+            "next_doc_id": ids.take(idx + 1),
+            "edit_distance": myers_distance_batch64(
+                [texts[j] for j in idx], [texts[j + 1] for j in idx]),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(pairs_partition, batch_format="pyarrow") \
-        .sort(["lang", "doc_id"])
+    return window_by_key(
+        ds, "lang", ["doc_id"], pairs,
+        pa.schema([("lang", pa.string()), ("doc_id", pa.int64()),
+                   ("next_doc_id", pa.int64()), ("edit_distance", pa.int64())]),
+        sort=["lang", "doc_id"])
 
 
 DOC_EDIT_DISTANCE_SQL = """
@@ -2476,46 +2277,25 @@ ORDER BY user_id, event_id
 def user_event_rank_stats(sf_dir: str):
     """PERCENT_RANK and CUME_DIST per event within its user's (ts, event_id)
     order — the remaining SQL window-distribution functions, on the same
-    salted-partition one-pass shape as the rank/lag/session family.  Both
+    ``window_by_key`` one-pass shape as the rank/lag/session family.  Both
     are exact IEEE divisions of small integers ((rank-1)/(n-1) and rank/n),
     so the doubles hash-match DuckDB bit for bit; a single-row partition
     defines PERCENT_RANK = 0 (SQL rule), no 0/0."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
 
-    def rank_partition(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_id": pa.array([], pa.int64()),
-                             "pct_rank": pa.array([], pa.float64()),
-                             "cume_dist": pa.array([], pa.float64())})
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        tsv = group.column("ts").to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((eid, tsv, uid))
-        uid, eid = uid[order], eid[order]
-        rank = _user_run_ranks(uid)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.concatenate([starts, [n]]))
-        size = np.repeat(counts, counts).astype(np.float64)
+    def rank_stats(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        lengths = _run_lengths(starts, part.num_rows)
+        rank = _run_ranks(starts, part.num_rows)
+        size = np.repeat(lengths, lengths).astype(np.float64)
         pct = np.where(size > 1, (rank - 1) / np.maximum(size - 1, 1), 0.0)
-        return pa.table({
-            "user_id": pa.array(uid),
-            "event_id": pa.array(eid),
-            "pct_rank": pa.array(pct),
-            "cume_dist": pa.array(rank / size),
-        })
+        return part.append_column("pct_rank", pa.array(pct)) \
+            .append_column("cume_dist", pa.array(rank / size))
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(rank_partition, batch_format="pyarrow") \
-        .sort(["user_id", "event_id"])
+    return window_by_key(
+        ds, "user_id", ["ts", "event_id"], rank_stats,
+        pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                   ("pct_rank", pa.float64()), ("cume_dist", pa.float64())]),
+        sort=["user_id", "event_id"])
 
 
 USER_EVENT_RANK_STATS_SQL = """
@@ -2531,40 +2311,21 @@ ORDER BY user_id, event_id
 def top_events_per_user(sf_dir: str, k: int = 3):
     """Windowed rank (ROW_NUMBER PARTITION BY user ORDER BY value DESC,
     event_id) keeping the top-k rows per user — the windowed-aggregate
-    operator family, expressed Ray-Data-first: salted partition shuffle +
-    ONE vectorized lexsort/rank pass per partition (O(partitions) dispatch,
-    same pattern as sessionize)."""
-    from engine.stages import bucket_shuffle_partitions
-
-    n_parts = bucket_shuffle_partitions()
+    operator family, expressed Ray-Data-first: one ``window_by_key``
+    exchange + ONE vectorized rank pass per partition (O(partitions)
+    dispatch, same pattern as sessionize)."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "value"])
 
-    def topk_partition(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "event_id": pa.array([], pa.int64()),
-                          "value": pa.array([], pa.float64()),
-                          "rank": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
-        uid = group.column("user_id").to_numpy()
-        eid = group.column("event_id").to_numpy()
-        val = group.column("value").to_numpy()
-        order = np.lexsort((eid, -val, uid))     # user ASC, value DESC, id ASC
-        uid, eid, val = uid[order], eid[order], val[order]
-        rank = _user_run_ranks(uid)
-        keep = rank <= k
-        return pa.table({
-            "user_id": pa.array(uid[keep]),
-            "event_id": pa.array(eid[keep]),
-            "value": pa.array(val[keep]),
-            "rank": pa.array(rank[keep]),
-        })
+    def top_k(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        rank = _run_ranks(starts, part.num_rows)
+        return part.append_column("rank", pa.array(rank)) \
+            .filter(pa.array(rank <= k))
 
-    return ds.map_batches(_user_part_fn(n_parts), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part").map_groups(topk_partition, batch_format="pyarrow") \
-        .sort(["user_id", "rank"])
+    return window_by_key(
+        ds, "user_id", [("value", "descending"), "event_id"], top_k,
+        pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                   ("value", pa.float64()), ("rank", pa.int64())]),
+        sort=["user_id", "rank"])
 
 
 TOP_EVENTS_PER_USER_SQL = """

@@ -18,6 +18,10 @@ Each stage is a batch transform over zero-copy Arrow batches:
   - ``group_aggregate``        — the low-cardinality GROUP BY every grouped
     report ends in: an Arrow ``group_by`` per batch, combine rounds in
     workers, the last combine on the driver.
+  - ``window_by_key``          — the per-key window operator (ROW_NUMBER,
+    LAG, PERCENT_RANK, framed sums, sessions): one hash exchange on the
+    key, then a sort and run starts per partition for the caller's
+    vectorized step.
 
 All per-row work that can be vectorized is (numpy/pyarrow.compute); the JSON
 repair kernel is inherently per-row but takes the strict-parse fast path
@@ -888,12 +892,73 @@ def shuffle_partitions(n_rows: int, *, rows_per_partition: int = 2_000_000,
 
 
 def bucket_shuffle_partitions() -> int:
-    """Partition count for salted bucket-style groupbys: ~4x cluster CPUs so
-    per-group Python dispatch is per-PARTITION, not per-bucket/user (the
-    shared policy behind the near-dup bucket stages and sessionize)."""
+    """Partition count of the hand-made exchanges that hash many keys into
+    few parts (``groupby("part").map_groups``): ~4x cluster CPUs, at least
+    32, so Python dispatch is per PARTITION, not per bucket or user.  The
+    near-dup bucket stages, ``profile_table`` and ``window_by_key`` use
+    it."""
     import ray
 
     return max(32, 4 * int(ray.cluster_resources().get("CPU", 4)))
+
+
+def key_runs(part: pa.Table, key: str, order: list) -> tuple[pa.Table, np.ndarray]:
+    """``part`` stably sorted by ``key`` and then ``order``, and the first
+    row of each run of equal keys.  An ``order`` entry is a column name or
+    a ``(name, "descending")`` pair."""
+    sort_keys = [(key, "ascending")] + [
+        (o, "ascending") if isinstance(o, str) else o for o in order]
+    part = part.take(pc.sort_indices(part, sort_keys=sort_keys))
+    k = part.column(key).to_numpy(zero_copy_only=False)
+    new = np.ones(part.num_rows, dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    return part, np.flatnonzero(new)
+
+
+def window_by_key(ds, key: str, order: list, fn, schema: pa.Schema, sort=None):
+    """``PARTITION BY key ORDER BY order`` windows over ``ds``: ``fn(part,
+    starts)`` runs once per exchange partition on the rows of a whole set
+    of keys, sorted by :func:`key_runs`, with ``starts`` the first row of
+    each key run; its columns are selected by name and cast to ``schema``.
+
+    Each row is tagged with a fixed-key hash of ``key`` (pandas' siphash,
+    so every worker process agrees) into ``bucket_shuffle_partitions()``
+    parts, and one Ray ``groupby("part").map_groups`` moves the rows.  A
+    NULL key raises ``ValueError`` in the tag map, before any shuffle:
+    SQL's NULL partition needs an exchange that does not use Ray's sort.
+
+    With ``sort``, the result is sorted by it and materialized, and an
+    empty one is ``schema.empty_table()``: a typed empty Dataset loses its
+    columns in ``to_pandas`` and in ``sort``.  ``sort=None`` returns the
+    lazy, unsorted rows for a caller that aggregates them further.
+    """
+    from pandas.util import hash_array
+
+    n_parts = bucket_shuffle_partitions()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        col = batch.column(key)
+        if col.null_count:
+            raise ValueError(
+                f"window_by_key: key column {key!r} has {col.null_count} "
+                f"NULL values in a block; filter or fill it first")
+        h = hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
+        return batch.append_column(
+            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
+
+    def step(part: pa.Table) -> pa.Table:
+        return fn(*key_runs(part, key, order)).select(schema.names).cast(schema)
+
+    out = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True) \
+        .groupby("part").map_groups(step, batch_format="pyarrow")
+    if sort is None:
+        return out
+    try:
+        out = out.sort(sort).materialize()
+    except Exception as err:
+        reraise_udf_value_error(err, "window_by_key:")
+        raise
+    return out if out.count() else schema.empty_table()
 
 
 class BroadcastMap:

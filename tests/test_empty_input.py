@@ -5,8 +5,9 @@ map_batches SKIPS the UDF on zero-row blocks, so a query that finalizes a
 low-cardinality group report through a second groupby degrades to a
 schema-less empty dataset on an all-filtered input — while DuckDB returns a
 TYPED empty result.  The queries here finalize through
-``stages.group_aggregate`` (which returns a zero-row table of the caller's
-schema), a JSON keyed tree reduction, or an explicit typed guard, and must
+``stages.group_aggregate`` or ``stages.window_by_key`` (which return a
+zero-row table of the caller's schema), a JSON keyed tree reduction, or an
+explicit typed guard, and must
 hash-match DuckDB on a fully empty corpus, typed columns included.
 """
 from __future__ import annotations
@@ -41,7 +42,12 @@ EMPTY_SAFE = ["distinct_users_by_type", "distinct_users_events",
               "orders_grouping_sets", "events_dow_pivot", "supplier_stats_by_region",
               "events_hopping_window", "quantiles_by_returnflag",
               "mad_quantity_by_returnflag", "mode_quantity_by_returnflag",
-              "lineitem_quantity_ranks", "revenue_by_segment_day", "revenue_by_brand"]
+              "lineitem_quantity_ranks", "revenue_by_segment_day", "revenue_by_brand",
+              # per-key windows (stages.window_by_key returns schema.empty_table()):
+              "sessionize_events", "cap_events_per_user", "user_first_last_event",
+              "user_running_value", "large_gap_events", "user_transition_diversity",
+              "user_range_window_events", "user_event_rank_stats", "top_events_per_user",
+              "doc_edit_distance_adjacent"]
 
 
 @pytest.fixture(scope="module")

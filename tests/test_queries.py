@@ -440,6 +440,68 @@ def test_null_group_keys_follow_sql(name, ray_session, tmp_path):
     assert canonical_hash(mine) == canonical_hash(want), (mine, want)
 
 
+@pytest.mark.parametrize("name,key", [("user_first_last_event", "user_id"),
+                                      ("top_events_per_user", "user_id"),
+                                      ("event_type_transitions", "user_id"),
+                                      ("doc_edit_distance_adjacent", "lang")])
+def test_null_window_key_raises(name, key, ray_session, tmp_path):
+    """SQL puts NULL keys in one PARTITION BY partition; the per-key windows
+    refuse them with a ValueError naming the column and the count instead
+    of diverging silently (one NULL-user row each, or every NULL-user row
+    ranked 1)."""
+    import datetime as dt
+
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+
+    t0 = dt.datetime(2024, 1, 1)
+    pq.write_table(pa.table({
+        "user_id": pa.array([1, None, 2, None, 1, None, 2], pa.int64()),
+        "event_id": pa.array(range(7), pa.int64()),
+        "ts": pa.array([t0 + dt.timedelta(hours=h) for h in range(7)], pa.timestamp("us")),
+        "event_type": pa.array(["click", "view", "click", "view", "view", "click", "view"]),
+        "value": pa.array([1.5, 2.0, 3.25, 4.0, 5.0, 6.5, 7.0])}),
+        str(tmp_path / "events.parquet"))
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(7), pa.int64()),
+        "text": pa.array(["a b", "a c", "b c", "c d", "d e", "e f", "f g"]),
+        "lang": pa.array(["en", None, "en", None, "de", None, "de"])}),
+        str(tmp_path / "documents.parquet"))
+    with pytest.raises(ValueError, match=rf"key column '{key}' has \d NULL values"):
+        entrymod.queries()[name](str(tmp_path))
+
+
+@pytest.mark.parametrize("n,n_keys,order", [
+    (1, 1, ["a", ("b", "descending")]),
+    (60, 1, ["a", ("b", "descending")]),
+    (300, 7, ["a", ("b", "descending")]),
+    (500, 90, [("a", "descending"), "b"]),
+    (400, 5, ["a"]),                       # ties: the sort must be stable
+])
+@pytest.mark.parametrize("key", ["k", "s"])
+def test_key_runs_matches_lexsort(n, n_keys, order, key):
+    """window_by_key's per-part step on a multi-chunk table: the row order
+    and the key-run starts equal an np.lexsort reference."""
+    from engine.stages import key_runs
+
+    rng = np.random.default_rng(n + n_keys)
+    k = rng.integers(0, n_keys, n)
+    a = rng.integers(0, 4, n)
+    b = rng.random(n)
+    t = pa.table({"k": k, "s": pa.array([f"u{v:03d}" for v in k]), "a": a, "b": b,
+                  "row": np.arange(n)})
+    cuts = sorted(set(rng.integers(0, n + 1, 3).tolist()) | {0, n})
+    multi = pa.concat_tables([t.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])])
+    cols = {"a": a, "b": b}
+    ref = [cols[o] if isinstance(o, str) else -cols[o[0]] for o in order]
+    want = np.lexsort((*ref[::-1], k))
+    part, starts = key_runs(multi, key, order)
+    assert part.column("row").to_numpy().tolist() == want.tolist()
+    ks = k[want]
+    assert starts.tolist() == [i for i in range(n) if i == 0 or ks[i] != ks[i - 1]]
+
+
 @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf"), None])
 def test_orders_price_bands_rejects_out_of_contract_prices(
         ray_session, tmp_path, bad):
@@ -571,7 +633,7 @@ def test_sessionize_two_stage_mega_user(ray_session):
     two = _sessionize_two_stage(events, gap_us, n_parts=32,
                                 bucket_us=6 * 3_600 * 1_000_000) \
         .sort("user_id").take_all()
-    one = _sessionize_single_stage(events, gap_us, n_parts=32) \
+    one = _sessionize_single_stage(events, gap_us) \
         .sort("user_id").take_all()
     assert two == one
 
