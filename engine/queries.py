@@ -1513,7 +1513,7 @@ def _run_ranks(starts: np.ndarray, n: int) -> np.ndarray:
 def _run_pairs(starts: np.ndarray, n: int) -> np.ndarray:
     """Mask over the n - 1 adjacent row pairs: True where both rows share a
     key run (the pairs LAG and LEAD see)."""
-    same = np.ones(max(n - 1, 0), dtype=bool)
+    same = np.ones(n - 1, dtype=bool)
     same[starts[1:] - 1] = False
     return same
 

@@ -895,8 +895,8 @@ def bucket_shuffle_partitions() -> int:
     """Partition count of the hand-made exchanges that hash many keys into
     few parts (``groupby("part").map_groups``): ~4x cluster CPUs, at least
     32, so Python dispatch is per PARTITION, not per bucket or user.  The
-    near-dup bucket stages, ``profile_table`` and ``window_by_key`` use
-    it."""
+    near-dup bucket stages, ``top_terms_per_doc``, ``profile_table``, the
+    two-stage sessionize and ``window_by_key`` use it."""
     import ray
 
     return max(32, 4 * int(ray.cluster_resources().get("CPU", 4)))
