@@ -66,6 +66,9 @@ FAST_ORACLED = [
     "user_event_rank_stats",
     "top_events_per_user",
     "doc_edit_distance_adjacent",
+    # the two users of stages.with_row_number:
+    "orders_row_number",
+    "orders_value_quartile",
     # the synthetic-corpus codec queries: they never read SF_DIR, so this
     # run is their full gate at every scale
     "audio_features",
