@@ -9,12 +9,10 @@ Two scale-correct passes:
   1. count/nulls/min/max — per-batch partials (one tiny dict per batch)
      merged by keyed_tree_reduce: zero shuffle, O(batches x columns) rows.
   2. exact distinct — a hash-partitioned exchange counted in Arrow.  Each
-     batch emits its distinct (column, canonical value) pairs plus a
-     ``part`` id (a fixed-key hash of the value modulo the partition
-     count, which follows the cluster CPU count); Ray's groupby on
-     ``part`` brings every copy of a value to one partition, where two
-     Arrow hash aggregates dedup the pairs and count them per column.  The
-     driver sums at most partitions x columns counts.  The pairs are
+     batch emits its distinct (column, canonical value) pairs;
+     ``stages.exchange`` brings every copy of a pair to one part, where
+     two Arrow hash aggregates dedup the pairs and count them per column.
+     The driver sums at most parts x columns counts.  The pairs are
      batch-deduped, so a repetitive column ships far fewer rows than it
      has.  At 100 TB use ``profile_table_approx`` below — ONE pass, HLL
      registers instead of a (column, value) exchange — and keep this exact
@@ -56,16 +54,6 @@ def _canonical(vals: np.ndarray, kind: str) -> list[str]:
     return [str(v) for v in vals]
 
 
-def _value_partition(vals: list[str], n_parts: int) -> np.ndarray:
-    """Exchange partition of each canonical value.  pandas' siphash has a
-    fixed key, so every worker process maps a value to the same partition
-    (the builtin ``hash`` of a str is salted per process)."""
-    from pandas.util import hash_array
-
-    h = hash_array(np.asarray(vals, dtype=object), categorize=False)
-    return (h % np.uint64(n_parts)).astype(np.int64)
-
-
 def _repr_out(v, kind: str) -> str:
     if kind == "float":
         return f"{float(v):.6f}"
@@ -77,7 +65,7 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
     n_rows, n_nulls, n_distinct (exact), min_repr, max_repr (col_name keys the row)."""
     import pyarrow.compute as pc
 
-    from engine.stages import bucket_shuffle_partitions, keyed_tree_reduce
+    from engine.stages import exchange, keyed_tree_reduce
 
     kinds: dict[str, str] = {
         f.name: _column_kind(f.type)
@@ -116,8 +104,6 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
         ds.map_batches(stats_partial, batch_format="pyarrow",
                        zero_copy_batch=True), merge)
 
-    n_parts = bucket_shuffle_partitions()
-
     def distinct_pairs(batch: pa.Table) -> pa.Table:
         cols, vals = [], []
         for c in columns:
@@ -127,8 +113,7 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
             cols.extend([c] * len(canon))
             vals.extend(canon)
         return pa.table({"col_name": pa.array(cols, pa.string()),
-                         "v": pa.array(vals, pa.large_string()),
-                         "part": pa.array(_value_partition(vals, n_parts))})
+                         "v": pa.array(vals, pa.large_string())})
 
     def count_part(part: pa.Table) -> pa.Table:
         # One partition holds every copy of its values: dedup the pairs,
@@ -141,10 +126,11 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
                          "n": g.column("count_all")})
 
     distinct: dict[str, int] = {}
-    for r in ds.map_batches(distinct_pairs, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-            .groupby("part").map_groups(count_part, batch_format="pyarrow") \
-            .take_all():   # <= n_parts x columns rows
+    for r in exchange(ds.map_batches(distinct_pairs, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      ["col_name", "v"], count_part,
+                      pa.schema([("col_name", pa.string()), ("n", pa.int64())])) \
+            .take_all():   # <= parts x columns rows
         distinct[r["col_name"]] = distinct.get(r["col_name"], 0) + r["n"]
 
     rows = sorted(columns)

@@ -26,7 +26,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from engine import joins
-from engine.stages import group_aggregate, reraise_udf_value_error, window_by_key
+from engine.stages import (
+    _group_blocks,
+    exchange,
+    group_aggregate,
+    reraise_udf_value_error,
+    sorted_or_empty,
+    window_by_key,
+)
 
 
 def _ones(n: int) -> pa.Array:
@@ -338,13 +345,17 @@ FROM d ORDER BY flag
 
 
 def dedup_exact_documents(sf_dir: str):
-    """Exact dedup, keep-first: shuffle 8-byte content hashes, not documents.
+    """Exact dedup, keep-first: exchange 16-byte content hashes, not
+    documents.
 
-    (The text column is hashed inside map_batches; the groupby moves only
-    (hash, doc_id) pairs — at petabyte scale this is the difference between
-    shuffling keys and shuffling the corpus.)
+    The text column is hashed inside map_batches, so the exchange moves
+    only (hash, NULL flag, doc_id) rows, and each part keeps the least
+    doc_id of each key through the Arrow group_by of ``group_aggregate``.
+    The NULL flag keeps a NULL text apart from ``""``, which hashes the
+    same: SQL groups NULL on its own.
     """
-    from engine.checks.sketches import HyperLogLog
+    keys = ["h1", "h2", "text_null"]
+    schema = pa.schema([("doc_id", pa.int64())])
 
     def hash_text(batch: pa.Table) -> pa.Table:
         # 128-bit content key (two independent vectorized siphash passes —
@@ -355,18 +366,19 @@ def dedup_exact_documents(sf_dir: str):
         # pinned to md5.
         from engine.ops.dedup import content_hash_128
 
-        h1, h2 = content_hash_128(batch.column("text"))
+        text = batch.column("text")
+        h1, h2 = content_hash_128(text)
         return pa.table({
             "h1": pa.array(h1), "h2": pa.array(h2),
+            "text_null": pc.is_null(text),
             "doc_id": batch.column("doc_id"),
         })
 
-    return _read(sf_dir, "documents", columns=["doc_id", "text"]) \
-        .map_batches(hash_text, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["h1", "h2"]).min("doc_id") \
-        .map_batches(lambda t: t.select(["min(doc_id)"]).rename_columns(["doc_id"]),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .sort("doc_id")
+    hashed = _read(sf_dir, "documents", columns=["doc_id", "text"]) \
+        .map_batches(hash_text, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(hashed, keys,
+                    functools.partial(_group_blocks, keys, {"doc_id": "min"}, schema),
+                    schema, sort="doc_id")
 
 
 DEDUP_EXACT_SQL = "SELECT MIN(doc_id) AS doc_id FROM documents GROUP BY text ORDER BY doc_id"
@@ -1911,18 +1923,16 @@ SELECT user_id, event_id, ts FROM (
 
 def orders_row_number(sf_dir: str):
     """Global ROW_NUMBER() OVER (ORDER BY o_totalprice, o_orderkey) — the
-    zipWithIndex operator (engine/stages.py:with_row_number): one sort,
-    then an O(blocks) per-block (first-key, count) report whose prefix
-    sums broadcast back as block offsets.  The order is deliberately a
-    NON-key column + tiebreaker, so the numbering exercises a real total
-    order, not key rank."""
+    zipWithIndex operator (engine/stages.py:with_row_number): one range
+    exchange, whose n part row counts become the parts' offsets.  The
+    order is deliberately a NON-key column + tiebreaker, so the numbering
+    exercises a real total order, not key rank."""
     from engine.stages import with_row_number
 
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
     out = with_row_number(ds, ["o_totalprice", "o_orderkey"], out_col="rn")
-    return out.map_batches(
-        lambda t: t.select(["o_orderkey", "rn"]),
-        batch_format="pyarrow", zero_copy_batch=True).sort("o_orderkey")
+    return sorted_or_empty(out.select_columns(["o_orderkey", "rn"]), "o_orderkey",
+                           pa.schema([("o_orderkey", pa.int64()), ("rn", pa.int64())]))
 
 
 ORDERS_ROW_NUMBER_SQL = """
@@ -1952,8 +1962,9 @@ def orders_value_quartile(sf_dir: str, k: int = 4):
         return pa.table({"o_orderkey": batch.column("o_orderkey"),
                          "quartile": pa.array(t.astype(np.int64))})
 
-    return numbered.map_batches(tile, batch_format="pyarrow",
-                                zero_copy_batch=True).sort("o_orderkey")
+    return sorted_or_empty(
+        numbered.map_batches(tile, batch_format="pyarrow", zero_copy_batch=True),
+        "o_orderkey", pa.schema([("o_orderkey", pa.int64()), ("quartile", pa.int64())]))
 
 
 ORDERS_VALUE_QUARTILE_SQL = """
@@ -2084,12 +2095,8 @@ def event_type_transitions(sf_dir: str):
 
     partials = window_by_key(ds, "user_id", ["ts", "event_id"], transitions,
                              schema)
-    try:
-        return group_aggregate(partials, ["prev_type", "next_type"],
-                               {"n": "sum"}, schema)
-    except Exception as err:
-        reraise_udf_value_error(err, "window_by_key:")
-        raise
+    return group_aggregate(partials, ["prev_type", "next_type"],
+                           {"n": "sum"}, schema)
 
 
 def user_transition_diversity(sf_dir: str):
@@ -2209,8 +2216,9 @@ def doc_edit_distance_adjacent(sf_dir: str, prefix: int = 64):
 
     Scale shape: ``window_by_key`` on lang.  Langs are few and fat: a lang
     never splits, a partition may hold several, and the kernel pairs rows
-    within each lang run.  At 100 TB the successor pairing would add the
-    boundary-row exchange with_row_number uses."""
+    within each lang run.  At 100 TB the successor pairing would
+    range-partition on ``stages.range_exchange`` and carry one boundary row
+    per part."""
     from engine.ops.text import myers_distance_batch64
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])

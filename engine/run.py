@@ -11,7 +11,7 @@ Execution model (north_rule):
         b) violation rows       → write_parquet(part=K/)
         c) sketch partials      → tiny rows → driver merge [combiner pattern]
         d) grouped stats        → partials → groupby(codec).map_groups merge
-        e) exact dedup          → project clip_id → groupby count > 1
+        e) exact dedup          → project clip_id → exchange, count > 1
     → metrics.json + per-partition manifest (lineage + counts)
 
 Resume: the run is split into deterministic partitions (contiguous id
@@ -33,12 +33,14 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from engine.checks.sketches import Histogram, ks_statistic, psi
 from engine.data.clips import clips_dataset
 from engine.stages import (
     MIN_SNR_DB,
     clip_check_batch,
+    exchange,
     grouped_stats_partials,
     merge_grouped_states,
     sketch_partials_batch,
@@ -303,18 +305,9 @@ def _run_partition(part: int, lo: int, hi: int, out: Path, seed: int,
         .take_all()
     )
 
-    # e) exact dedup: shuffle only the key column
-    dup_rows = (
-        slim.select_columns(["clip_id"])
-        .groupby("clip_id")
-        .count()
-        .map_batches(
-            lambda t: t.filter(pa.compute.greater(t.column("count()"), 1)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .take_all()
-    )
+    # e) exact dedup: exchange only the key column
+    dup_rows = sorted(_duplicate_groups(slim.select_columns(["clip_id"])).take_all(),
+                      key=lambda r: r["clip_id"])
 
     totals = merged["totals"]
     return {
@@ -326,7 +319,7 @@ def _run_partition(part: int, lo: int, hi: int, out: Path, seed: int,
         "fk_ok": totals.get("fk_ok", 0),
         "repairs": totals["repairs"],
         "violations": int(n_violations),
-        "duplicate_ids": [{"clip_id": r["clip_id"], "count": r["count()"]} for r in dup_rows],
+        "duplicate_ids": dup_rows,
         "stats": {c: s.state() for c, s in merged["stats"].items()},
         "digest_dur_p50": merged["digests"]["dur_ms"].quantile(0.5),
         "digest_snr_p05": merged["digests"]["snr_db"].quantile(0.05),
@@ -336,19 +329,28 @@ def _run_partition(part: int, lo: int, hi: int, out: Path, seed: int,
     }
 
 
+def _count_duplicates(part: pa.Table) -> pa.Table:
+    g = part.group_by("clip_id", use_threads=False).aggregate([([], "count_all")])
+    return g.filter(pc.greater(g.column("count_all"), 1)) \
+        .rename_columns(["clip_id", "count"])
+
+
+def _duplicate_groups(ds):
+    """The clip_ids of ``ds`` that appear more than once, with their counts:
+    one ``stages.exchange`` of the key column."""
+    return exchange(ds, ["clip_id"], _count_duplicates,
+                    pa.schema([("clip_id", pa.string()), ("count", pa.int64())]))
+
+
 def _global_duplicate_groups(out: Path) -> int:
     """Exact count of clip_id groups appearing more than once across ALL
-    partitions' verdicts (key-only read + key-only shuffle)."""
+    partitions' verdicts (key-only read + key-only exchange)."""
     from engine.io import read_table
 
     verdicts = out / "verdicts"
     if not verdicts.exists():
         return 0
-    ds = read_table(str(verdicts), columns=["clip_id"])
-    dups = ds.groupby("clip_id").count().map_batches(
-        lambda t: t.filter(pa.compute.greater(t.column("count()"), 1)),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return dups.count()
+    return _duplicate_groups(read_table(str(verdicts), columns=["clip_id"])).count()
 
 
 def _finalize(parts: list[dict], out: Path) -> dict:

@@ -18,9 +18,14 @@ Each stage is a batch transform over zero-copy Arrow batches:
   - ``group_aggregate``        — the low-cardinality GROUP BY every grouped
     report ends in: an Arrow ``group_by`` per batch, combine rounds in
     workers, the last combine on the driver.
+  - ``exchange``               — a keyed exchange over plain Ray tasks:
+    split tasks hash each bundle of blocks into one slice per part, one
+    reduce task per part runs the caller's step, and no row reaches the
+    driver.  ``range_exchange`` is its sorted-ranges form, under
+    ``with_row_number``.
   - ``window_by_key``          — the per-key window operator (ROW_NUMBER,
-    LAG, PERCENT_RANK, framed sums, sessions): one hash exchange on the
-    key, then a sort and run starts per partition for the caller's
+    LAG, PERCENT_RANK, framed sums, sessions): one ``exchange`` on the
+    key, then a sort and run starts per part for the caller's
     vectorized step.
 
 All per-row work that can be vectorized is (numpy/pyarrow.compute); the JSON
@@ -814,8 +819,9 @@ def keyed_tree_reduce(partials_ds, combine_pair):
     return state if state is not None else {}
 
 
-# Blocks one step of group_aggregate combines: a worker task of a round, or
-# the last combine on the driver.
+# Blocks one step of group_aggregate combines (a worker task of a round, or
+# the last combine on the driver), and the most blocks one exchange split
+# task takes.
 GROUP_FAN_IN = 64
 
 
@@ -869,6 +875,194 @@ def group_aggregate(ds, keys: list[str], aggs: dict[str, str],
         .sort_by([(k, "ascending") for k in keys])
 
 
+def _concat_rows(blocks) -> pa.Table | None:
+    """The rows of ``blocks`` as one table, or None when there are none.
+    Zero-row blocks are dropped: a Ray Data zero-row block may keep its
+    input columns."""
+    blocks = [b for b in blocks if b.num_rows]
+    return pa.concat_tables(blocks) if blocks else None
+
+
+def _split(keys: list[str], bounds: np.ndarray | None, n: int, *blocks: pa.Table):
+    """Split task of both exchanges: the rows of ``blocks`` in n tables by
+    part, row order kept within a part (a lone table for n = 1, as Ray's
+    ``num_returns=1`` wants).
+
+    Without ``bounds`` a row's part is a fixed-key hash of its ``keys``
+    (pandas' siphash, so every worker process agrees).  Only a column's
+    valid values are hashed, so a value lands in the same part from a block
+    with NULLs as from one without; a NULL hashes as 0, so the NULLs of a
+    key share one part.  With ``bounds`` it is the number of bounds at or
+    below its first key, so equal first keys share a part."""
+    from pandas.util import hash_array
+
+    t = _concat_rows(blocks)
+    if t is None:
+        t, part = pa.table({}), np.empty(0, np.int64)
+    elif bounds is not None:
+        part = np.searchsorted(bounds, t.column(keys[0]).to_numpy(zero_copy_only=False),
+                               side="right")
+    else:
+        h = np.zeros(t.num_rows, dtype=np.uint64)
+        for k in keys:
+            col = t.column(k)
+            hk = np.zeros(t.num_rows, dtype=np.uint64)
+            valid = col.is_valid().to_numpy(zero_copy_only=False)
+            hk[valid] = hash_array(col.drop_null().to_numpy(zero_copy_only=False),
+                                   categorize=False)
+            h = h * np.uint64(1_000_003) ^ hk
+        part = (h % np.uint64(n)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    cuts = np.searchsorted(part[order], np.arange(n + 1))
+    out = [t.take(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return out if n > 1 else out[0]
+
+
+def _exchange_reduce(fn, schema: pa.Schema, *slices: pa.Table) -> pa.Table:
+    """Reduce task of :func:`exchange`: ``fn`` over one part's rows, its
+    columns selected by name and cast to ``schema``."""
+    t = _concat_rows(slices)
+    if t is None:
+        return schema.empty_table()
+    return fn(t).select(schema.names).cast(schema)
+
+
+_split_task = ray.remote(_split)
+_exchange_reduce_task = ray.remote(_exchange_reduce)
+
+
+def _bundles(refs: list, n: int) -> list[list]:
+    """``refs`` in bundles of ⌈blocks / n⌉ blocks, at most ``GROUP_FAN_IN``,
+    so there are at most max(n, ⌈blocks / GROUP_FAN_IN⌉) bundles."""
+    size = max(1, min(GROUP_FAN_IN, -(-len(refs) // n)))
+    return [refs[i:i + size] for i in range(0, len(refs), size)]
+
+
+def _split_tasks(n: int, bundles: list[list], keys: list[str], bounds=None) -> list[list]:
+    """One :func:`_split` task per bundle, each returning its n slices."""
+    splits = [_split_task.options(num_returns=n).remote(keys, bounds, n, *b)
+              for b in bundles]
+    return [s if n > 1 else [s] for s in splits]
+
+
+def sorted_or_empty(out, sort, schema: pa.Schema):
+    """``out`` itself for ``sort=None``; else ``out`` sorted by ``sort`` and
+    materialized, or ``schema.empty_table()`` when it has no rows: a typed
+    empty Dataset loses its columns in ``to_pandas`` and in ``sort``."""
+    if sort is None:
+        return out
+    out = out.sort(sort).materialize()
+    return out if out.count() else schema.empty_table()
+
+
+def exchange(ds, keys: list[str], fn, schema: pa.Schema, sort=None, *,
+             telemetry: dict | None = None):
+    """Hash exchange over plain Ray tasks: every row of ``ds`` with the same
+    ``keys`` reaches one part, and ``fn(part)`` runs once per part on the
+    rows of a whole set of keys; its columns are selected by name and cast
+    to ``schema``.  NULL keys share a part, so ``fn`` sees SQL's NULL
+    group whole.
+
+    There are n parts, n the cluster's CPUs.  A split task per bundle of
+    blocks (see :func:`_bundles`) returns one slice per part, and one
+    reduce task per part concatenates its slices and runs ``fn``; the driver
+    holds only refs, so no row reaches it.  Ray's sort-based ``groupby``
+    moves the same rows through more tasks and objects (ROADMAP
+    direction 1).  The result is a Dataset of the reduce outputs, built
+    eagerly, so an error of ``fn`` raises here; ``sort`` is applied by
+    :func:`sorted_or_empty`.  ``telemetry`` (tests) receives the part,
+    split-task and object counts and the rows that reached the driver.
+    """
+    n = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    bundles = _bundles(ds.materialize().to_arrow_refs(), n)
+    splits = _split_tasks(n, bundles, keys)
+    parts = [_exchange_reduce_task.remote(fn, schema, *(s[p] for s in splits))
+             for p in range(n)]
+    if telemetry is not None:
+        telemetry.update(parts=n, splits=len(splits),
+                         objects=len(splits) * n, driver_rows=0)
+    return sorted_or_empty(ray.data.from_arrow_refs(parts), sort, schema)
+
+
+def _range_sample(keys: list[str], n: int, *blocks: pa.Table) -> np.ndarray:
+    """First pass of :func:`range_exchange` over a bundle: refuse NULL and
+    NaN sort keys, then sample 10 n evenly spaced values of the first key."""
+    t = _concat_rows(blocks)
+    if t is None:
+        return np.empty(0)
+    for k in keys:
+        n_bad = pc.sum(pc.is_null(t.column(k), nan_is_null=True)).as_py()
+        if n_bad:
+            raise ValueError(
+                f"range_exchange: sort key column {k!r} has {n_bad} NULL/NaN "
+                f"values; null ordering is not total, so filter or fill it first")
+    first = np.sort(t.column(keys[0]).to_numpy(zero_copy_only=False))
+    return first[np.linspace(0, first.size - 1, min(first.size, 10 * n)).astype(int)]
+
+
+def _range_bounds(n: int, *samples: np.ndarray) -> np.ndarray:
+    """n - 1 part boundaries: evenly spaced values of the pooled samples."""
+    pooled = np.sort(np.concatenate([s for s in samples if s.size] or [np.empty(0)]))
+    return pooled[(np.arange(1, n) * pooled.size) // n] if pooled.size else pooled
+
+
+def _range_sort(keys: list[str], *slices: pa.Table):
+    """Sort task of :func:`range_exchange`: one part's rows sorted by
+    ``keys``, and its row count."""
+    t = _concat_rows(slices)
+    if t is None:
+        return None, 0
+    return t.sort_by([(k, "ascending") for k in keys]), t.num_rows
+
+
+def _range_finish(fn, schema: pa.Schema, start: int, part: pa.Table | None) -> pa.Table:
+    """Finish task of :func:`range_exchange`: ``fn`` over one sorted part."""
+    if part is None:
+        return schema.empty_table()
+    return fn(part, start).select(schema.names).cast(schema)
+
+
+_range_sample_task = ray.remote(_range_sample)
+_range_bounds_task = ray.remote(_range_bounds)
+_range_sort_task = ray.remote(_range_sort).options(num_returns=2)
+_range_finish_task = ray.remote(_range_finish)
+
+
+def range_exchange(ds, keys: list[str], fn, schema: pa.Schema, *,
+                   telemetry: dict | None = None):
+    """Range form of :func:`exchange`: the n parts hold consecutive ranges
+    of the ``keys`` order, each sorted by ``keys``, and ``fn(part, start)``
+    runs on each with ``start`` the number of rows in the parts before it;
+    its columns are selected by name and cast to ``schema``.  The result is
+    a Dataset of the n parts in order.  A NULL or NaN key raises
+    ``ValueError``: its order is not total.
+
+    A sample task per bundle checks the keys and samples the first key; one
+    task takes n - 1 of the pooled samples as boundaries; the split tasks
+    route each row by ``searchsorted(side="right")`` on its first key, so a
+    run of equal first keys lands whole in one part.  Only the n part row
+    counts reach the driver, where they become the ``start`` offsets.
+    ``telemetry`` (tests) receives the counts :func:`exchange` reports.
+    """
+    n = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    bundles = _bundles(ds.materialize().to_arrow_refs(), n)
+    bounds = _range_bounds_task.remote(
+        n, *(_range_sample_task.remote(keys, n, *b) for b in bundles))
+    splits = _split_tasks(n, bundles, keys, bounds)
+    parts, counts = zip(*(_range_sort_task.remote(keys, *(s[p] for s in splits))
+                          for p in range(n)))
+    try:
+        starts = np.concatenate([[0], np.cumsum(ray.get(list(counts)))[:-1]])
+    except Exception as err:
+        reraise_udf_value_error(err, "range_exchange:")
+        raise
+    if telemetry is not None:
+        telemetry.update(parts=n, splits=len(splits),
+                         objects=len(splits) * n, driver_rows=n)
+    return ray.data.from_arrow_refs([
+        _range_finish_task.remote(fn, schema, int(s), p) for s, p in zip(starts, parts)])
+
+
 def shuffle_partitions(n_rows: int, *, rows_per_partition: int = 2_000_000,
                        cpus: int | None = None) -> int:
     """Input-size-derived shuffle width (round-1 VERDICT finding: a hard
@@ -895,8 +1089,9 @@ def bucket_shuffle_partitions() -> int:
     """Partition count of the hand-made exchanges that hash many keys into
     few parts (``groupby("part").map_groups``): ~4x cluster CPUs, at least
     32, so Python dispatch is per PARTITION, not per bucket or user.  The
-    near-dup bucket stages, ``top_terms_per_doc``, ``profile_table``, the
-    two-stage sessionize and ``window_by_key`` use it."""
+    near-dup bucket stages, ``top_terms_per_doc`` and the two-stage
+    sessionize use it; :func:`exchange` uses n = CPUs instead, since its
+    object count is split tasks x parts."""
     import ray
 
     return max(32, 4 * int(ray.cluster_resources().get("CPU", 4)))
@@ -917,48 +1112,31 @@ def key_runs(part: pa.Table, key: str, order: list) -> tuple[pa.Table, np.ndarra
 
 def window_by_key(ds, key: str, order: list, fn, schema: pa.Schema, sort=None):
     """``PARTITION BY key ORDER BY order`` windows over ``ds``: ``fn(part,
-    starts)`` runs once per exchange partition on the rows of a whole set
-    of keys, sorted by :func:`key_runs`, with ``starts`` the first row of
-    each key run; its columns are selected by name and cast to ``schema``.
+    starts)`` runs once per :func:`exchange` part on the rows of a whole
+    set of keys, sorted by :func:`key_runs`, with ``starts`` the first row
+    of each key run; its columns are selected by name and cast to
+    ``schema``.  ``sort`` is :func:`exchange`'s: the result sorted and
+    materialized (``schema.empty_table()`` when empty), or with
+    ``sort=None`` the unsorted rows for a caller that aggregates them
+    further.
 
-    Each row is tagged with a fixed-key hash of ``key`` (pandas' siphash,
-    so every worker process agrees) into ``bucket_shuffle_partitions()``
-    parts, and one Ray ``groupby("part").map_groups`` moves the rows.  A
-    NULL key raises ``ValueError`` in the tag map, before any shuffle:
-    SQL's NULL partition needs an exchange that does not use Ray's sort.
-
-    With ``sort``, the result is sorted by it and materialized, and an
-    empty one is ``schema.empty_table()``: a typed empty Dataset loses its
-    columns in ``to_pandas`` and in ``sort``.  ``sort=None`` returns the
-    lazy, unsorted rows for a caller that aggregates them further.
+    A NULL key raises ``ValueError`` naming the column: the exchange puts
+    SQL's NULL partition in one part, but :func:`key_runs` compares keys
+    in numpy, where NULLs (NaN) never equal each other.
     """
-    from pandas.util import hash_array
-
-    n_parts = bucket_shuffle_partitions()
-
-    def tag(batch: pa.Table) -> pa.Table:
-        col = batch.column(key)
-        if col.null_count:
-            raise ValueError(
-                f"window_by_key: key column {key!r} has {col.null_count} "
-                f"NULL values in a block; filter or fill it first")
-        h = hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
-        return batch.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
-
     def step(part: pa.Table) -> pa.Table:
-        return fn(*key_runs(part, key, order)).select(schema.names).cast(schema)
+        nulls = part.column(key).null_count
+        if nulls:
+            raise ValueError(
+                f"window_by_key: key column {key!r} has {nulls} NULL "
+                f"values; filter or fill it first")
+        return fn(*key_runs(part, key, order))
 
-    out = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("part").map_groups(step, batch_format="pyarrow")
-    if sort is None:
-        return out
     try:
-        out = out.sort(sort).materialize()
+        return exchange(ds, [key], step, schema, sort=sort)
     except Exception as err:
         reraise_udf_value_error(err, "window_by_key:")
         raise
-    return out if out.count() else schema.empty_table()
 
 
 class BroadcastMap:
@@ -1146,99 +1324,19 @@ def with_row_number(ds, keys: list[str], *, out_col: str = "row_number"):
     """Global 1-based row numbers in (keys) order — the zipWithIndex /
     ROW_NUMBER() OVER (ORDER BY ...) operator the Dataset API lacks.
 
-    ``keys`` must be a TOTAL order (include a tiebreaker column); equal
-    composites across block boundaries would make numbering depend on the
-    split point.
-
-    Two passes over the SAME materialized sorted blocks (no re-execution,
-    no driver data): pass 1 is a per-block (first-composite, row-count)
-    report — O(blocks) driver rows; the prefix sums broadcast as a tiny
-    dict; pass 2 adds offset + local arange per block.  The only all-data
-    movement is the sort itself.
+    ``keys`` should be a TOTAL order (include a tiebreaker column): rows
+    with equal composites are numbered in an arbitrary order.  One
+    :func:`range_exchange` sorts the rows into consecutive parts, and each
+    part adds its start offset to a local arange; a NULL or NaN key raises
+    ``ValueError`` naming the column.
     """
-    import ray
+    schema = ds.schema().base_schema.append(pa.field(out_col, pa.int64()))
 
-    schema = ds.schema()   # before the sort: an all-empty sorted dataset
-    key_types = {k: schema.types[schema.names.index(k)] for k in keys}
+    def number(part: pa.Table, start: int) -> pa.Table:
+        return part.append_column(out_col, pa.array(
+            np.arange(start + 1, start + 1 + part.num_rows, dtype=np.int64)))
 
-    # NULL/NaN key values break the operator twice over: Ray's sort itself
-    # crashes comparing None at partition boundaries, and the driver-side
-    # offset sort (Python tuple compare) has no matching null ordering.
-    # The check is FUSED into the sort's own input scan (raising inside the
-    # task with the named error) — a separate pre-check pass doubled the
-    # operator's wall time (r05 tripwire finding).
-    def reject_null_keys(batch: pa.Table) -> pa.Table:
-        for k in keys:
-            col = batch.column(k)
-            try:
-                bad = pc.is_null(col, nan_is_null=True)
-            except pa.ArrowNotImplementedError:
-                bad = pc.is_null(col)
-            n_bad = pc.sum(bad).as_py() or 0
-            if n_bad:
-                raise ValueError(
-                    f"with_row_number: sort key column {k!r} has {n_bad} "
-                    f"NULL/NaN values in a block — null ordering is not "
-                    f"total; filter or fill the key column first")
-        return batch
-
-    checked = ds.map_batches(reject_null_keys, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    try:
-        sorted_ds = checked.sort(keys).materialize()
-    except Exception as err:
-        reraise_udf_value_error(err, "with_row_number: sort key column")
-        raise
-    if sorted_ds.count() == 0:
-        empty = pa.Table.from_arrays(
-            [pa.array([], t) for t in schema.types]
-            + [pa.array([], pa.int64())], names=list(schema.names) + [out_col])
-        return ray.data.from_arrow(empty)
-
-    def _first_key(batch: pa.Table) -> str:
-        return json.dumps([str(batch.column(k)[0].as_py()) for k in keys])
-
-    def block_meta(batch: pa.Table) -> pa.Table:
-        cols = {"first": pa.array(
-            [] if batch.num_rows == 0 else [_first_key(batch)],
-            pa.large_string())}
-        # Typed first-key values: the offsets must be ordered by the SAME
-        # comparison the sort used — a stringified composite would order
-        # "100.5" before "99.2".
-        for k in keys:
-            cols[f"k_{k}"] = (pa.array([], key_types[k])
-                              if batch.num_rows == 0
-                              else batch.column(k).slice(0, 1))
-        cols["n"] = pa.array(
-            [] if batch.num_rows == 0 else [batch.num_rows], pa.int64())
-        return pa.table(cols)
-
-    # batch_size=None = one batch per block, so pass-1 boundaries are
-    # exactly the blocks pass 2 sees.
-    meta = sorted_ds.map_batches(block_meta, batch_size=None,
-                                 batch_format="pyarrow",
-                                 zero_copy_batch=True).take_all()
-    meta.sort(key=lambda r: tuple(r[f"k_{k}"] for k in keys))
-    offsets: dict[str, int] = {}
-    acc = 0
-    for r in meta:
-        if r["first"] in offsets:
-            raise ValueError(
-                f"with_row_number needs a total order; composite "
-                f"{r['first']} starts two blocks (add a tiebreaker to keys)")
-        offsets[r["first"]] = acc
-        acc += r["n"]
-    off_ref = ray.put(offsets)
-
-    def number_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(out_col, pa.array([], pa.int64()))
-        base = _broadcast_from_ref(off_ref)[_first_key(batch)]
-        rn = np.arange(1, batch.num_rows + 1, dtype=np.int64) + base
-        return batch.append_column(out_col, pa.array(rn))
-
-    return sorted_ds.map_batches(number_block, batch_size=None,
-                                 batch_format="pyarrow", zero_copy_batch=True)
+    return range_exchange(ds, keys, number, schema)
 
 
 def interval_count_join(left_ds, right_ds, *, by: str, on: str,

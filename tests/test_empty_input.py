@@ -47,7 +47,9 @@ EMPTY_SAFE = ["distinct_users_by_type", "distinct_users_events",
               "sessionize_events", "cap_events_per_user", "user_first_last_event",
               "user_running_value", "large_gap_events", "user_transition_diversity",
               "user_range_window_events", "user_event_rank_stats", "top_events_per_user",
-              "doc_edit_distance_adjacent"]
+              "doc_edit_distance_adjacent",
+              # stages.exchange with sort= / stages.sorted_or_empty:
+              "dedup_exact_documents", "orders_row_number", "orders_value_quartile"]
 
 
 @pytest.fixture(scope="module")

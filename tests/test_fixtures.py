@@ -412,6 +412,17 @@ def test_with_row_number_matches_lexsort(ray_session):
     empty = ray.data.from_arrow(pa.table({"v": pa.array([], pa.float64())}))
     assert with_row_number(empty, ["v"]).count() == 0
 
+    # A string first key, and one first-key value for every row (the whole
+    # input lands in one range part): both still number like the lexsort.
+    names = np.array([f"k{i:02d}" for i in rng.integers(0, 60, 500)])
+    for first in (names, np.full(500, 7.5)):
+        ds = ray.data.from_arrow(pa.table({"v": pa.array(first),
+                                           "id": pa.array(ids, pa.int64())})).repartition(7)
+        out = with_row_number(ds, ["v", "id"], out_col="rn").take_all()
+        order = np.lexsort((ids, first))
+        want = {int(ids[j]): int(pos + 1) for pos, j in enumerate(order)}
+        assert {r["id"]: r["rn"] for r in out} == want
+
 
 def test_with_row_number_rejects_null_and_nan_keys(ray_session):
     """NULL (and NaN) sort-key values have no total order the driver-side

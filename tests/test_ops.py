@@ -1124,29 +1124,32 @@ def test_profile_table_distinct_exact_across_many_blocks(ray_session):
 
 
 def test_profile_value_partition_is_process_independent():
-    """Workers compute the exchange partition independently, so the value ->
-    partition map must not depend on the process's string-hash salt."""
+    """Workers compute the exchange part of a (column, value) pair
+    independently (``stages.exchange``'s split task), so the pair -> part
+    map must not depend on the process's string-hash salt."""
     import json
     import os
     import subprocess
     import sys
 
-    from engine.checks.profile import _value_partition
-
-    vals = [f"v{i}" for i in range(64)] + ["0x1.8000000000000p+0", "nan"]
-    want = _value_partition(vals, 32).tolist()
-    assert len(set(want)) > 1
     code = ("import json, sys\n"
-            "from engine.checks.profile import _value_partition\n"
-            "print(json.dumps(_value_partition(json.loads(sys.argv[1]), 32)"
-            ".tolist()))")
+            "import pyarrow as pa\n"
+            "from engine.stages import _split\n"
+            "vals = json.loads(sys.argv[1])\n"
+            "t = pa.table({'col_name': ['c'] * len(vals), 'v': vals})\n"
+            "print(json.dumps([p.column('v').to_pylist()\n"
+            "                  for p in _split(['col_name', 'v'], None, 32, t)]))")
+    vals = [f"v{i}" for i in range(64)] + ["0x1.8000000000000p+0", "nan"]
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = []
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": repo}
         out = subprocess.run([sys.executable, "-c", code, json.dumps(vals)],
                              env=env, capture_output=True, text=True,
                              check=True, timeout=120)
-        assert json.loads(out.stdout) == want, seed
+        outs.append(json.loads(out.stdout))
+    assert sum(bool(p) for p in outs[0]) > 1
+    assert outs[0] == outs[1]
 
 
 def test_profile_table_more_partitions_than_values(ray_session, tmp_path):

@@ -443,6 +443,26 @@ def test_null_group_keys_follow_sql(name, ray_session, tmp_path):
     assert canonical_hash(mine) == canonical_hash(want), (mine, want)
 
 
+def test_dedup_exact_keeps_null_text_apart(ray_session, tmp_path):
+    """SQL's GROUP BY text puts the NULL texts in one group of their own:
+    the empty string hashes like NULL, so the exchange key carries the NULL
+    flag too."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+                             "text": pa.array(["", None, "a", None, "a"], pa.string())}),
+                   str(tmp_path / "documents.parquet"))
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{tmp_path}/documents.parquet')")
+    want = con.sql(entrymod.oracle_sql()["dedup_exact_documents"]).df()["doc_id"].tolist()
+    got = entrymod.queries()["dedup_exact_documents"](str(tmp_path)).to_pandas()
+    assert want == [1, 2, 3]
+    assert got["doc_id"].tolist() == want
+
+
 @pytest.mark.parametrize("name,key", [("user_first_last_event", "user_id"),
                                       ("top_events_per_user", "user_id"),
                                       ("event_type_transitions", "user_id"),
