@@ -331,8 +331,8 @@ def _run_partition(part: int, lo: int, hi: int, out: Path, seed: int,
 
 def _count_duplicates(part: pa.Table) -> pa.Table:
     g = part.group_by("clip_id", use_threads=False).aggregate([([], "count_all")])
-    return g.filter(pc.greater(g.column("count_all"), 1)) \
-        .rename_columns(["clip_id", "count"])
+    return pa.table({"clip_id": g.column("clip_id"), "count": g.column("count_all")}) \
+        .filter(pc.field("count") > 1)
 
 
 def _duplicate_groups(ds):
