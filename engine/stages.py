@@ -966,9 +966,9 @@ def exchange(ds, keys: list[str], fn, schema: pa.Schema, sort=None, *,
     There are n parts, n the cluster's CPUs.  A split task per bundle of
     blocks (see :func:`_bundles`) returns one slice per part, and one
     reduce task per part concatenates its slices and runs ``fn``; the driver
-    holds only refs, so no row reaches it.  Ray's sort-based ``groupby``
-    moves the same rows through more tasks and objects (ROADMAP
-    direction 1).  The result is a Dataset of the reduce outputs, built
+    holds only refs, so no row reaches it; Ray's sort-based ``groupby``
+    moves the same rows through more tasks and objects.  The result is a
+    Dataset of the reduce outputs, built
     eagerly, so an error of ``fn`` raises here; ``sort`` is applied by
     :func:`sorted_or_empty`.  ``telemetry`` (tests) receives the part,
     split-task and object counts and the rows that reached the driver.
