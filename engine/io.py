@@ -17,7 +17,10 @@ reads the footers on the driver, plans one task per row group, and passes
 (without it Ray still splits the row groups into slivers to reach its
 block minimum).
 The row groups are the planning unit because the writer already chose them:
-no new knob, and the task count comes from footer metadata alone.  Feeding
+no new knob, and the task count comes from footer metadata alone.  The
+driver queries read their tables through this seam too
+(``engine.queries._read``), so a one-row-group table is one block, and Ray
+fuses its read with the query's first map.  Feeding
 ``(path, row group)`` items through ``from_items().map_batches(read)`` does
 NOT work: that map fuses with the batch-size-bound check map after it, and
 the fused operator bundles all the one-row items into a single task.

@@ -56,9 +56,10 @@ def _half_away_cents(x: np.ndarray, scale: float = 100.0) -> np.ndarray:
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray.data
+    """A driver table through the ``engine.io.read_table`` seam: one block per row group."""
+    from engine.io import read_table
 
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    return read_table(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # --------------------------------------------------------------- TPC-H-ish Q1
@@ -1412,12 +1413,15 @@ FROM events GROUP BY event_type, day ORDER BY event_type, day
 def _query_vector(sf_dir: str):
     """Embedding of the minimum vec_id — loads ONE row, not the corpus:
     the id column locates the row, then a predicate-filtered read fetches
-    just its vector (driver memory stays O(1) at any table size)."""
+    just its vector.  The ids are read one row group at a time, so the
+    driver holds at most one row group of them."""
     import pyarrow.dataset as _pds
     import pyarrow.parquet as _pq
 
-    ids = _pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
-    min_id = pc.min(ids.column("vec_id")).as_py()
+    f = _pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
+    mins = (pc.min(f.read_row_group(i, columns=["vec_id"]).column("vec_id")).as_py()
+            for i in range(f.num_row_groups))
+    min_id = min(m for m in mins if m is not None)
     row = _pds.dataset(f"{sf_dir}/embeddings.parquet").to_table(
         columns=["embedding"], filter=_pds.field("vec_id") == min_id)
     return np.asarray(row.column("embedding")[0].as_py(), dtype=np.float32)

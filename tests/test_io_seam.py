@@ -299,3 +299,26 @@ def test_row_group_reader_resolves_relative_paths(ray_session, tmp_path, monkeyp
     pq.write_table(_keyed_table(0, 50), str(tmp_path / "rel" / "t.parquet"), row_group_size=20)
     monkeypatch.chdir(tmp_path)
     assert len(read_table("rel").take_all()) == 50
+
+
+@pytest.mark.parametrize("n,row_group_size,tasks", [(7, None, 1), (50, 20, 3)])
+def test_driver_query_read_plans_one_task_per_row_group(ray_session, tmp_path,
+                                                        n, row_group_size, tasks):
+    """``engine.queries._read`` reads through the seam: one read task and
+    one block per row group, and no SplitBlocks slivers (which cut a 7-row,
+    one-row-group table into 8 blocks)."""
+    import re
+
+    import pyarrow.parquet as pq
+
+    from engine.queries import _read
+
+    pq.write_table(_keyed_table(0, n), str(tmp_path / "events.parquet"),
+                   row_group_size=row_group_size)
+    assert pq.ParquetFile(str(tmp_path / "events.parquet")).metadata.num_row_groups == tasks
+    ds = _read(str(tmp_path), "events", columns=["n"])
+    assert len(ds.to_arrow_refs()) == tasks
+    stats = ds.materialize().stats()
+    assert "SplitBlocks" not in stats, stats
+    assert re.search(rf"ReadRowGroupParquet: {tasks} tasks executed, {tasks} blocks produced",
+                     stats), stats

@@ -642,6 +642,28 @@ def test_orphan_orders_scale_path_streams(ray_session, monkeypatch, tmp_path):
     assert broadcast["o_orderkey"].tolist() == scale["o_orderkey"].tolist()
 
 
+def test_query_vector_reads_ids_one_row_group_at_a_time(tmp_path, monkeypatch):
+    """The minimum vec_id is in the last of four row groups; one row group
+    holds a NULL among its ids and another only NULLs.  The id column never
+    reaches the driver whole."""
+    import pyarrow.parquet as pq
+
+    from engine.queries import _query_vector
+
+    ids = [5, None, 7, None, None, None, 3, 4, 9, 2]
+    pq.write_table(pa.table({"vec_id": pa.array(ids, pa.int64()),
+                             "embedding": pa.array([[float(i or 0), 1.0] for i in ids],
+                                                   pa.list_(pa.float32()))}),
+                   str(tmp_path / "embeddings.parquet"), row_group_size=3)
+    assert pq.ParquetFile(str(tmp_path / "embeddings.parquet")).metadata.num_row_groups == 4
+
+    def whole_table(*args, **kwargs):
+        raise AssertionError("read the whole vec_id column")
+
+    monkeypatch.setattr(pq, "read_table", whole_table)
+    np.testing.assert_array_equal(_query_vector(str(tmp_path)), [2.0, 1.0])
+
+
 def test_dim_map_wide_dictionary_and_nulls(ray_session):
     """More than 127 distinct values must not wrap the int8 code dtype; a
     NULL value is a value of its own; a NULL probe key is never found."""
