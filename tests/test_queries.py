@@ -146,7 +146,7 @@ def test_query_matches_oracle(name, ray_session, oracle_con):
     _assert_matches_oracle(name, SF_DIR, oracle_con)
 
 
-# The judged query_mix queries plus two multi-pass ones (a window_by_key
+# The query_mix benchmark's queries plus two multi-pass ones (a window_by_key
 # exchange, a range exchange).
 MULTI_ROW_GROUP_QUERIES = [
     "q1_pricing_summary", "grouped_stats_orderpriority", "events_daily_by_type",
@@ -161,22 +161,21 @@ def multi_row_group_dir(tmp_path_factory):
     """The sf0.001 tables with lineitem, orders, customer, events and
     documents rewritten as 4 row groups each, the last one short; the other
     tables are links to the originals."""
-    import os
+    import pathlib
 
     import duckdb
     import pyarrow.parquet as pq
 
     d = tmp_path_factory.mktemp("multi_row_group")
-    for f in os.listdir(SF_DIR):
-        t = pq.read_table(f"{SF_DIR}/{f}")
-        if f[:-len(".parquet")] in ("lineitem", "orders", "customer", "events", "documents"):
-            pq.write_table(t, str(d / f), row_group_size=t.num_rows * 2 // 7)
-            assert pq.ParquetFile(str(d / f)).metadata.num_row_groups == 4, f
-        else:
-            os.symlink(f"{SF_DIR}/{f}", d / f)
     con = duckdb.connect()
-    for f in os.listdir(d):
-        con.sql(f"CREATE VIEW {f[:-len('.parquet')]} AS SELECT * FROM read_parquet('{d}/{f}')")
+    for src in pathlib.Path(SF_DIR).glob("*.parquet"):
+        if src.stem in ("lineitem", "orders", "customer", "events", "documents"):
+            t = pq.read_table(src)
+            pq.write_table(t, d / src.name, row_group_size=t.num_rows * 2 // 7)
+            assert pq.ParquetFile(d / src.name).metadata.num_row_groups == 4, src.stem
+        else:
+            (d / src.name).symlink_to(src)
+        con.sql(f"CREATE VIEW {src.stem} AS SELECT * FROM read_parquet('{d / src.name}')")
     return d, con
 
 
