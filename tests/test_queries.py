@@ -66,6 +66,12 @@ FAST_ORACLED = [
     "user_event_rank_stats",
     "top_events_per_user",
     "doc_edit_distance_adjacent",
+    # the users of stages.asof_join / interval_count_join and the top-k of
+    # ops.text.top_terms_per_doc:
+    "purchase_attribution",
+    "purchase_attribution_nearest",
+    "clicks_near_purchase",
+    "top_terms_per_document",
     # the two users of stages.with_row_number:
     "orders_row_number",
     "orders_value_quartile",
@@ -146,13 +152,13 @@ def test_query_matches_oracle(name, ray_session, oracle_con):
     _assert_matches_oracle(name, SF_DIR, oracle_con)
 
 
-# The query_mix benchmark's queries plus two multi-pass ones (a window_by_key
-# exchange, a range exchange).
+# The query_mix benchmark's queries plus four multi-pass ones (a window_by_key
+# exchange, a range exchange, an interval-count join and a per-document top-k).
 MULTI_ROW_GROUP_QUERIES = [
     "q1_pricing_summary", "grouped_stats_orderpriority", "events_daily_by_type",
     "dedup_exact_documents", "orders_row_number", "revenue_by_segment_day",
     "repair_extract_events", "profile_events", "sessionize_events",
-    "orders_value_quartile",
+    "orders_value_quartile", "clicks_near_purchase", "top_terms_per_document",
 ]
 
 
