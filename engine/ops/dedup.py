@@ -326,20 +326,6 @@ def chained_run_pairs(key_cols: tuple) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ai_parts), np.concatenate(bi_parts)
 
 
-def _salt_partition(key: np.ndarray, band: np.ndarray, n_parts: int) -> np.ndarray:
-    """Stable partition id from (band, band_key) for the bucket shuffle."""
-    mixed = key.astype(np.uint64) ^ (band.astype(np.uint64)
-                                     * np.uint64(0x9E3779B97F4A7C15))
-    return (mixed % np.uint64(n_parts)).astype(np.int32)
-
-
-def _bucket_shuffle_parts() -> int:
-    """Shared salted-partition policy — see engine.stages.bucket_shuffle_partitions."""
-    from engine.stages import bucket_shuffle_partitions
-
-    return bucket_shuffle_partitions()
-
-
 def partition_candidate_pairs(group: pa.Table, *, id_col: str = "doc_id",
                               min_est_jaccard: float = 0.5, cap: int = 64,
                               pair_mode: str = "clique") -> pa.Table:
@@ -408,17 +394,17 @@ def partition_candidate_pairs(group: pa.Table, *, id_col: str = "doc_id",
 
 def minhash_lsh_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                       k: int = 64, bands: int = 16, min_est_jaccard: float = 0.5,
-                      cap: int = 64, concurrency=None, n_parts: int | None = None,
+                      cap: int = 64, concurrency=None,
                       shingle_width: int = 3, pair_mode: str = "clique"):
     """Full near-dup pipeline: docs → candidate pairs (deduped across bands).
 
-    The bucket stage shuffles on a salted partition of (band, band_key) and
-    detects buckets vectorized inside each partition — the all-to-all moves
-    the same (band_key, sig) rows as a per-bucket groupby, but map_groups
-    dispatch cost is O(partitions), not O(buckets).
+    The bucket stage is one ``stages.exchange`` on (band, band_key) that
+    detects buckets vectorized inside each part — it moves the same
+    (band_key, sig) rows as a per-bucket groupby, but runs one Python step
+    per part, not per bucket.
     """
-    if n_parts is None:
-        n_parts = _bucket_shuffle_parts()
+    from engine.stages import exchange
+
     # The stage state (k permutation params) is ~1 KB: build it ONCE on the
     # driver and let the task pool pickle it per task — an actor pool here
     # pays ~1s of pool spin-up to cache state that costs microseconds to
@@ -435,19 +421,16 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
             batch_format="pyarrow", zero_copy_batch=True, concurrency=concurrency,
         )
 
-    def explode(t: pa.Table) -> pa.Table:
-        out = lsh_band_rows(t, bands=bands, id_col=id_col)
-        part = _salt_partition(out.column("band_key").to_numpy(),
-                               out.column("band").to_numpy(), n_parts)
-        return out.append_column("part", pa.array(part))
-
-    band_rows = sigs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = band_rows.groupby("part").map_groups(
+    band_rows = sigs.map_batches(
+        lambda t: lsh_band_rows(t, bands=bands, id_col=id_col),
+        batch_format="pyarrow", zero_copy_batch=True)
+    pairs = exchange(
+        band_rows, ["band", "band_key"],
         lambda g: partition_candidate_pairs(g, id_col=id_col,
                                             min_est_jaccard=min_est_jaccard,
                                             cap=cap, pair_mode=pair_mode),
-        batch_format="pyarrow",
-    )
+        pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                   ("est_jaccard", pa.float64())]))
     # A pair can surface from several bands: keep the max estimate once.
     return pairs.groupby(["a", "b"]).max("est_jaccard")
 
@@ -487,13 +470,13 @@ class SimHashStage:
 
 
 def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                  max_hamming: int = 3, cap: int = 64, concurrency=None,
-                  n_parts: int | None = None):
+                  max_hamming: int = 3, cap: int = 64, concurrency=None):
     """Near-dup candidates via simhash banding (4 x 16-bit bands), verified by
     exact hamming distance inside the bucket — bucket detection vectorized per
-    salted partition (same shuffle shape as minhash_lsh_pairs)."""
-    if n_parts is None:
-        n_parts = _bucket_shuffle_parts()
+    part of one ``stages.exchange`` on (band, band_key), as in
+    minhash_lsh_pairs."""
+    from engine.stages import exchange
+
     if concurrency is None:
         # SimHashStage is stateless: task pool, no actor spin-up.
         hashed = ds.map_batches(SimHashStage(text_col=text_col, id_col=id_col),
@@ -516,18 +499,14 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
             parts.append(pa.table({
                 "band": pa.array(bands_col),
                 "band_key": pa.array(key),
-                "part": pa.array(_salt_partition(key, bands_col, n_parts)),
                 id_col: pa.array(ids),
                 "simhash": pa.array(h.astype(np.int64)),
             }))
         return pa.concat_tables(parts)
 
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("hamming", pa.int64())])
+
     def verify_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                          "hamming": pa.array([], pa.int64())})
-        n = group.num_rows
-        if n < 2:
-            return empty
         h = group.column("simhash").to_numpy().astype(np.uint64)
         band = group.column("band").to_numpy()
         key = group.column("band_key").to_numpy()
@@ -536,8 +515,6 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         band, key, ids, h = band[order], key[order], ids[order], h[order]
 
         ai, bi = capped_run_pairs((band, key), cap, "simhash")
-        if ai.size == 0:
-            return empty
         x = h[ai] ^ h[bi]
         ham = np.zeros(x.size, dtype=np.int64)
         for shift in range(64):
@@ -546,12 +523,9 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"a": pa.array(ids[ai][keep]), "b": pa.array(ids[bi][keep]),
                          "hamming": pa.array(ham[keep])})
 
-    return (
-        hashed.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(verify_partition, batch_format="pyarrow")
+    bands = hashed.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(bands, ["band", "band_key"], verify_partition, schema) \
         .groupby(["a", "b"]).min("hamming")
-    )
 
 
 # --------------------------------------------------------------- exact jaccard

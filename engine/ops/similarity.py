@@ -288,32 +288,26 @@ def all_pairs_cosine(ds, *, threshold: float = 0.8, id_col: str = "vec_id",
 
 
 def near_dup_cosine_pairs(ds, *, threshold: float = 0.95, id_col: str = "vec_id",
-                          col: str = "embedding", n_bits: int = 10, cap: int = 256,
-                          n_parts: int | None = None):
-    """Embedding near-dup pairs: hyperplane buckets shuffled on a salted
-    partition key, exact cosine inside each bucket run (cap bounds a hot
-    bucket's quadratic cost; map_groups dispatch is per-partition, not
-    per-bucket — same shape as minhash_lsh_pairs)."""
-    from engine.ops.dedup import _bucket_shuffle_parts, capped_run_pairs
-
-    if n_parts is None:
-        n_parts = _bucket_shuffle_parts()
+                          col: str = "embedding", n_bits: int = 10, cap: int = 256):
+    """Embedding near-dup pairs: hyperplane buckets, one ``stages.exchange``
+    on the bucket, exact cosine inside each bucket run (cap bounds a hot
+    bucket's quadratic cost; one Python step per part, not per bucket —
+    same shape as minhash_lsh_pairs)."""
+    from engine.ops.dedup import capped_run_pairs
+    from engine.stages import exchange
 
     def bucketize(batch: pa.Table) -> pa.Table:
         mat = _embedding_matrix(batch, col)
         if mat.shape[0] == 0:
             return pa.table({"bucket": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int32()),
                              id_col: pa.array([], batch.schema.field(id_col).type),
                              "unit": pa.array([], pa.list_(pa.float32()))})
         planes = _hyperplanes(mat.shape[1], n_bits)
         keys = _signs_to_key(mat @ planes > 0)
-        part = (keys.astype(np.uint64) % np.uint64(n_parts)).astype(np.int32)
         norms = np.linalg.norm(mat, axis=1) + 1e-30
         unit = (mat / norms[:, None]).astype(np.float32)
         return pa.table({
             "bucket": pa.array(keys),
-            "part": pa.array(part),
             id_col: batch.column(id_col),
             "unit": pa.FixedSizeListArray.from_arrays(
                 pa.array(unit.reshape(-1)), mat.shape[1]),
@@ -321,10 +315,6 @@ def near_dup_cosine_pairs(ds, *, threshold: float = 0.95, id_col: str = "vec_id"
 
     def verify_partition(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                          "cosine": pa.array([], pa.float64())})
-        if n < 2:
-            return empty
         unit_arr = group.column("unit")
         if isinstance(unit_arr, pa.ChunkedArray):
             unit_arr = unit_arr.combine_chunks()
@@ -337,19 +327,16 @@ def near_dup_cosine_pairs(ds, *, threshold: float = 0.95, id_col: str = "vec_id"
         bucket, ids, unit = bucket[order], ids[order], unit[order]
 
         ai, bi = capped_run_pairs((bucket,), cap, "cosine near-dup")
-        if ai.size == 0:
-            return empty
         s = np.einsum("ij,ij->i", unit[ai], unit[bi])
         keep = (s >= threshold) & (ids[ai] != ids[bi])
         return pa.table({"a": pa.array(ids[ai][keep]),
                          "b": pa.array(ids[bi][keep]),
                          "cosine": pa.array(s[keep].astype(np.float64))})
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(verify_partition, batch_format="pyarrow")
-    )
+    return exchange(
+        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True),
+        ["bucket"], verify_partition,
+        pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cosine", pa.float64())]))
 
 
 def knn_multi_query(ds, query_ids, query_mat, k: int = 5, *,

@@ -332,14 +332,13 @@ def top_terms_per_doc(ds, *, k: int = 3, text_col: str = "text",
     rows (the classic wordcount shuffle, O(distinct term-doc pairs));
     (3) df attached back either via a size-gated driver broadcast
     (vocabulary <= max_broadcast_terms: a pandas-map lookup per batch, no
-    shuffle) or a term-keyed hash join; (4) per-doc top-k via the repo's
-    salted-partition windowed-rank pattern — O(partitions) dispatch, one
-    vectorized lexsort per partition.
+    shuffle) or a term-keyed hash join; (4) per-doc top-k: one
+    ``stages.exchange`` on the document id, one vectorized lexsort per part.
     """
     import ray
     import ray.data
 
-    from engine.stages import bucket_shuffle_partitions
+    from engine.stages import exchange
 
     td = ds.map_batches(
         lambda t: term_doc_counts(t, text_col=text_col, id_col=id_col),
@@ -380,22 +379,8 @@ def top_terms_per_doc(ds, *, k: int = 3, text_col: str = "text",
         with_df = td.map_batches(attach, batch_format="pyarrow",
                                  zero_copy_batch=True)
 
-    n_parts = bucket_shuffle_partitions()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        part = (ids.astype(np.uint64) % np.uint64(n_parts)).astype(np.int32)
-        return batch.append_column("part", pa.array(part))
-
     def topk_partition(group: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "term": pa.array([], pa.string()),
-                          "tf": pa.array([], pa.int64()),
-                          "df": pa.array([], pa.int64()),
-                          "rank": pa.array([], pa.int64())})
         n = group.num_rows
-        if n == 0:
-            return empty
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         tf = group.column("tf").to_numpy(zero_copy_only=False)
         dfv = group.column("df").to_numpy(zero_copy_only=False)
@@ -424,9 +409,9 @@ def top_terms_per_doc(ds, *, k: int = 3, text_col: str = "text",
             "rank": pa.array(rank[keep]),
         })
 
-    return with_df.map_batches(add_part, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-        .groupby("part").map_groups(topk_partition, batch_format="pyarrow")
+    return exchange(with_df, [id_col], topk_partition, pa.schema([
+        (id_col, pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
+        ("df", pa.int64()), ("rank", pa.int64())]))
 
 
 # -------------------------------------------------------- decontamination

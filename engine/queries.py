@@ -1561,15 +1561,16 @@ def _sessionize_single_stage(ds, gap_us: int):
                          sort="user_id")
 
 
-def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
+def _sessionize_two_stage(ds, gap_us: int, bucket_us: int):
     """Boundary-merge sessionization (round-2 VERDICT item 5): EXACT, and no
     single task ever holds one user's full history.
 
     Stage 1 buckets events by (user, ts // bucket_us) — disjoint, ordered
-    time ranges — shuffles on hash(user, bucket) % n_parts, and sessionizes
-    each (user, bucket) cell vectorized, emitting one summary row
-    (n_events, n_sessions, first_ts, last_ts) per cell.  A hot user's events
-    spread across as many cells as they span buckets.
+    time ranges — runs one ``exchange`` on (user_id, bucket), and
+    sessionizes each (user, bucket) cell vectorized, emitting one summary
+    row (n_events, n_sessions, first_ts, last_ts) per cell.  A hot user's
+    events spread across as many cells as they span buckets, and the cells
+    across the parts.
 
     Stage 2 moves the SMALL summary rows through ``window_by_key`` on the
     user and stitches: cells of one user, sorted by first_ts, merge a
@@ -1581,14 +1582,6 @@ def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
 
     def bucket_cells(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        if n == 0:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "n_sessions": pa.array([], pa.int64()),
-                "first_ts": pa.array([], pa.int64()),
-                "last_ts": pa.array([], pa.int64()),
-            })
         uid = group.column("user_id").to_numpy()
         bucket = group.column("bucket").to_numpy()
         ts = group.column("ts_us").to_numpy()
@@ -1611,21 +1604,12 @@ def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
             "last_ts": pa.array(ts[ends]),
         })
 
-    def add_cell_part(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        uid = batch.column("user_id").to_numpy()
+    def add_bucket(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
-        bucket = ts // bucket_us
-        # Salt on (user, bucket) so a hot user's cells spread over partitions.
-        h = (pd.util.hash_array(uid, categorize=False)
-             ^ pd.util.hash_array(bucket, categorize=False))
-        part = (h % np.uint64(n_parts)).astype(np.int32)
         return pa.table({
             "user_id": batch.column("user_id"),
             "ts_us": pa.array(ts),
-            "bucket": pa.array(bucket),
-            "part": pa.array(part),
+            "bucket": pa.array(ts // bucket_us),
         })
 
     def stitch(part: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -1645,9 +1629,11 @@ def _sessionize_two_stage(ds, gap_us: int, n_parts: int, bucket_us: int):
             - np.add.reduceat(merged, starts),
         })
 
-    cells = ds.map_batches(add_cell_part, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("part").map_groups(bucket_cells, batch_format="pyarrow")
+    cells = exchange(
+        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "bucket"], bucket_cells,
+        pa.schema([(c, pa.int64()) for c in
+                   ("user_id", "n_events", "n_sessions", "first_ts", "last_ts")]))
     return window_by_key(cells, "user_id", ["first_ts"], stitch, _SESSIONS,
                          sort="user_id")
 
@@ -1668,9 +1654,7 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30, *,
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     gap_us = gap_minutes * 60 * 1_000_000
     if two_stage:
-        from engine.stages import bucket_shuffle_partitions
-
-        return _sessionize_two_stage(ds, gap_us, bucket_shuffle_partitions(),
+        return _sessionize_two_stage(ds, gap_us,
                                      bucket_us=bucket_hours * 3_600 * 1_000_000)
     return _sessionize_single_stage(ds, gap_us)
 

@@ -261,14 +261,27 @@ def test_orphan_row_mask_vectorized():
                             np.array([], dtype=bool)).tolist() == []
 
 
-def test_fk_semijoin_payload_and_partition_dispatch(ray_session):
+def test_fk_semijoin_payload_and_partition_dispatch(ray_session, monkeypatch):
     """Round-2 VERDICT items 3+4: (a) payload columns ride the shuffle so a
     full orphan report streams without a driver key set, and (b) the
-    map_groups dispatch count equals num_partitions, not distinct keys."""
+    anti-join is one stages.exchange on the key: one step per part, the
+    cluster's CPUs, not per distinct key, and no row reaches the driver."""
     import pyarrow as pa
+    import ray
     import ray.data
 
+    import engine.stages
     from engine.stages import fk_orphans_semijoin
+
+    calls = []
+    exchange = engine.stages.exchange
+
+    def spy(ds, keys, fn, schema, sort=None):
+        telemetry = {}
+        calls.append((keys, telemetry))
+        return exchange(ds, keys, fn, schema, sort, telemetry=telemetry)
+
+    monkeypatch.setattr(engine.stages, "exchange", spy)
 
     n = 6000                                   # thousands of DISTINCT keys
     dim = ray.data.from_arrow(pa.table({"ck": pa.array(
@@ -278,15 +291,13 @@ def test_fk_semijoin_payload_and_partition_dispatch(ray_session):
         "orderkey": pa.array(range(100, 100 + n), pa.int64()),
     }))
     out = fk_orphans_semijoin(fact, dim, fact_key="ck", dim_key="ck",
-                              fact_payload=["orderkey"], num_partitions=8)
+                              fact_payload=["orderkey"])
     rows = sorted((r["ck"], r["orderkey"]) for r in out.take_all())
     assert rows == [(k, 100 + k) for k in range(1, n, 2)]  # odd keys orphan
-    # Dispatch is per-partition: the tagged union carries exactly the salted
-    # "part" groupby key with <= num_partitions distinct values.
-    import numpy as np
-    import pandas as pd
-    h = pd.util.hash_array(np.arange(n, dtype=np.int64), categorize=False)
-    assert len(set((h % np.uint64(8)).tolist())) == 8
+    [(keys, telemetry)] = calls
+    assert keys == ["key"]
+    assert telemetry["parts"] == int(ray.cluster_resources()["CPU"])
+    assert telemetry["driver_rows"] == 0
 
 
 def test_broadcast_map_lookup():
@@ -351,7 +362,7 @@ def test_asof_join_backward(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from engine.stages import asof_join_backward
+    from engine.stages import asof_join
 
     left = ray.data.from_arrow(pa.table({
         "uid": pa.array([1, 1, 2, 3], pa.int64()),
@@ -364,15 +375,75 @@ def test_asof_join_backward(ray_session):
         "rid": pa.array([70, 71, 72, 73], pa.int64()),
     })).repartition(2)
 
-    out = {r["lid"]: r for r in asof_join_backward(
+    out = {r["lid"]: r for r in asof_join(
         left, right, by="uid", on="t",
         left_cols=["lid", "uid", "t"], right_cols=["rid", "t"],
-        num_partitions=4).take_all()}
+        direction="backward").take_all()}
     assert out[10]["rid"] == 71          # equal t=100 matches inclusively
     assert out[11]["rid"] == 70          # latest of rights <= 50 is t=40
     assert out[12]["rid"] is None        # right t=20 > left t=10: no match
     assert out[13]["rid"] is None        # uid 3 has no right rows at all
     assert out[10]["t_r"] == 100 and out[11]["t_r"] == 40
+
+
+def test_co_partitioned_joins_null_keys_and_empty_sides(ray_session):
+    """A NULL key in a block must not move that block's other keys to other
+    parts than the same keys from a NULL-free block: every non-NULL left
+    row of asof_join and interval_count_join meets its right row, and the
+    NULL row meets none.  fk_orphans_semijoin returns exactly SQL's
+    ``LEFT JOIN ... WHERE dim.key IS NULL`` rows, the NULL key's included.
+    An empty left or right side gives typed columns."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data
+
+    from engine.stages import asof_join, fk_orphans_semijoin, interval_count_join
+
+    n = 200
+    left_t = pa.table({                       # one block, NULL key included
+        "uid": pa.array(list(range(n)) + [None], pa.int64()),
+        "t": pa.array([10] * (n + 1), pa.int64()),
+        "lid": pa.array(range(n + 1), pa.int64())})
+    right_t = pa.table({
+        "uid": pa.array(range(n), pa.int64()),
+        "t": pa.array([5] * n, pa.int64()),
+        "rid": pa.array(range(n), pa.int64())})
+
+    def joins(left, right):
+        return (asof_join(left, right, by="uid", on="t", left_cols=["lid"],
+                          right_cols=["rid"]),
+                interval_count_join(left, right, by="uid", on="t",
+                                    lo_offset=-10, hi_offset=10,
+                                    left_cols=["lid"]))
+
+    asof, counts = joins(ray.data.from_arrow(left_t), ray.data.from_arrow(right_t))
+    assert {r["lid"]: r["rid"] for r in asof.take_all()} == \
+        {**{i: i for i in range(n)}, n: None}
+    assert {r["lid"]: r["n_in_range"] for r in counts.take_all()} == \
+        {**{i: 1 for i in range(n)}, n: 0}
+
+    fact_t = pa.table({"k": pa.array(list(range(n)) + [None], pa.int64()),
+                       "oid": pa.array(range(n + 1), pa.int64())})
+    dim_t = pa.table({"k": pa.array(range(0, n, 2), pa.int64())})
+    got = sorted(((r["k"], r["oid"]) for r in fk_orphans_semijoin(
+        ray.data.from_arrow(fact_t), ray.data.from_arrow(dim_t),
+        fact_key="k", dim_key="k", fact_payload=["oid"]).take_all()),
+        key=lambda r: r[1])
+    want = duckdb.sql("SELECT f.k, f.oid FROM fact_t f LEFT JOIN dim_t d "
+                      "ON f.k = d.k WHERE d.k IS NULL ORDER BY f.oid").fetchall()
+    assert got == want and (None, n) in got
+
+    for left, right in ((left_t.slice(0, 0), right_t), (left_t, right_t.slice(0, 0))):
+        asof, counts = joins(ray.data.from_arrow(left), ray.data.from_arrow(right))
+        assert [r["rid"] for r in asof.take_all()] == [None] * left.num_rows
+        assert asof.schema().types == [pa.int64(), pa.int64()]
+        assert [r["n_in_range"] for r in counts.take_all()] == [0] * left.num_rows
+        assert counts.schema().names == ["lid", "n_in_range"]
+    for fact, dim in ((fact_t.slice(0, 0), dim_t), (fact_t, dim_t.slice(0, 0))):
+        out = fk_orphans_semijoin(ray.data.from_arrow(fact), ray.data.from_arrow(dim),
+                                  fact_key="k", dim_key="k", fact_payload=["oid"])
+        assert out.count() == fact.num_rows
+        assert out.schema().types == [pa.int64(), pa.int64()]
 
 
 def test_with_row_number_matches_lexsort(ray_session):
@@ -497,7 +568,7 @@ def test_interval_count_join_matches_bruteforce(ray_session):
 
     got = {r["lid"]: r["n_in_range"] for r in interval_count_join(
         lds, rds, by="uid", on="t", lo_offset=lo, hi_offset=hi,
-        left_cols=["lid"], num_partitions=4).take_all()}
+        left_cols=["lid"]).take_all()}
     want = {int(i): int(((rk == lk[i]) & (rt >= lt[i] + lo)
                          & (rt <= lt[i] + hi)).sum())
             for i in range(150)}
@@ -537,8 +608,7 @@ def test_asof_join_directions_match_pandas(ray_session):
     for direction in ("backward", "forward", "nearest"):
         got = {r["lid"]: r["rid"] for r in asof_join(
             lds, rds, by="uid", on="t", left_cols=["lid", "uid", "t"],
-            right_cols=["rid"], num_partitions=4,
-            direction=direction).take_all()}
+            right_cols=["rid"], direction=direction).take_all()}
         want_df = pd.merge_asof(
             left.sort_values("t", kind="stable"),
             right.sort_values("t", kind="stable"),

@@ -98,3 +98,12 @@ def test_typed_api_contract():
         assert marker.exists(), f"missing {marker}"
 
     from engine.repair import JSONReturnType  # public export  # noqa: F401
+
+
+def test_no_hand_made_part_exchange():
+    """Keyed shuffles under engine/ run on stages.exchange: no hand-made
+    exchange that tags a "part" column and groups on it."""
+    offenders = [f"{path}:{i}" for path in (ROOT / "engine").rglob("*.py")
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if 'groupby("part")' in line]
+    assert not offenders, "\n".join(offenders)

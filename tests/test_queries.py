@@ -728,7 +728,7 @@ def test_sessionize_two_stage_mega_user(ray_session):
     })).repartition(64)
 
     gap_us = 30 * 60 * 1_000_000
-    two = _sessionize_two_stage(events, gap_us, n_parts=32,
+    two = _sessionize_two_stage(events, gap_us,
                                 bucket_us=6 * 3_600 * 1_000_000) \
         .sort("user_id").take_all()
     one = _sessionize_single_stage(events, gap_us) \
