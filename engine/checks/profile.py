@@ -4,36 +4,42 @@ tabular generalization of the reference's single-document inspection
 (/root/reference/src/json_repair/json_repair.py:100-226 reports on ONE
 document; a validation engine must report on every column of 10^12 rows).
 
-Two scale-correct passes:
+One read, one exchange; every aggregate shares the pass (LMFAO's shape):
 
-  1. count/nulls/min/max — per-batch partials (one tiny dict per batch)
-     merged by keyed_tree_reduce: zero shuffle, O(batches x columns) rows.
-  2. exact distinct — a hash-partitioned exchange counted in Arrow.  Each
-     batch emits its distinct (column, canonical value) pairs;
-     ``stages.exchange`` brings every copy of a pair to one part, where
-     two Arrow hash aggregates dedup the pairs and count them per column.
-     The driver sums at most parts x columns counts.  The pairs are
-     batch-deduped, so a repetitive column ships far fewer rows than it
-     has.  At 100 TB use ``profile_table_approx`` below — ONE pass, HLL
-     registers instead of a (column, value) exchange — and keep this exact
-     form as the oracle companion.
+  1. A map turns each batch into typed keys: per column, its distinct
+     valid values, plus one row of the batch's row and NULL counts whose
+     value keys are NULL.  A key is the column index (int32) and either an
+     int64 (ints, timestamps, and floats by their bits, every NaN as one
+     NaN, -0.0 and 0.0 two values) or, for a string column only, a
+     large_string.  Distinctness is SQL value equality, up to signed zeros.
+     A uint64 value above 2^63 - 1 has no int64 key: its cast raises.
+  2. ``stages.exchange`` on those keys brings every copy of a value to one
+     part.  Per column a part counts its distinct values, sums the rows and
+     NULLs, and takes min/max with Arrow's kernel over its distinct values
+     decoded back to their type.
+  3. The driver combines at most parts x columns rows and formats the
+     min/max reprs (%.6f for floats, matching DuckDB printf).
 
-Values cross the exchange as canonical strings: ints/epochs via str(),
-floats via float.hex() (exact, locale-free), strings as themselves — so
-distinctness matches SQL value equality (caveat: float.hex distinguishes
--0.0 from 0.0; profile corpora with signed zeros through the HLL path).
-min/max reprs are formatted once on the driver (%.6f for floats, matching
-DuckDB printf).
+The keys are batch-deduped, so a repetitive column ships far fewer rows
+than it has.  At 100 TB use ``profile_table_approx`` below — ONE pass, HLL
+registers over the same keys instead of an exchange — and keep this exact
+form as the oracle companion.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-_KINDS = ("int", "float", "str", "ts")
+_NAN_BITS = 0x7FF8000000000000
+_PART_SCHEMA = pa.schema([
+    ("c", pa.int32()), ("n_rows", pa.int64()), ("n_nulls", pa.int64()),
+    ("n_distinct", pa.int64()), ("min_i", pa.int64()), ("max_i", pa.int64()),
+    ("min_s", pa.large_string()), ("max_s", pa.large_string())])
 
 
 def _column_kind(t: pa.DataType) -> str:
@@ -48,111 +54,124 @@ def _column_kind(t: pa.DataType) -> str:
     raise TypeError(f"unprofilable column type {t}")
 
 
-def _canonical(vals: np.ndarray, kind: str) -> list[str]:
-    if kind == "float":
-        return [float(v).hex() for v in vals]
-    return [str(v) for v in vals]
+def _kinds(ds, columns: list[str]) -> list[str]:
+    kinds = {f.name: _column_kind(f.type)
+             for f in ds.schema().base_schema if f.name in set(columns)}
+    missing = [c for c in columns if c not in kinds]
+    if missing:
+        raise KeyError(f"columns not in dataset: {missing}")
+    return [kinds[c] for c in columns]
 
 
-def _repr_out(v, kind: str) -> str:
+def _encode(vals: pa.Array, kind: str) -> pa.Array:
+    """Non-NULL values as keys: large_string for a string column, else
+    int64, a float by its bits with every NaN payload as one NaN."""
+    if kind == "str":
+        return vals.cast(pa.large_string())
+    if kind != "float":
+        return vals.cast(pa.int64())
+    f = vals.cast(pa.float64()).to_numpy(zero_copy_only=False)
+    return pa.array(np.where(np.isnan(f), _NAN_BITS, f.view(np.int64)))
+
+
+def _keys(col, kind: str) -> pa.Array:
+    """The distinct valid values of ``col`` as keys."""
+    keys = _encode(pc.unique(col.drop_null()), kind)
+    return pc.unique(keys) if kind == "float" else keys
+
+
+def _decode(keys, kind: str) -> pa.Array:
     if kind == "float":
-        return f"{float(v):.6f}"
-    return str(v)
+        return pa.array(keys.to_numpy(zero_copy_only=False).view(np.float64))
+    return keys
+
+
+def _typed_keys(columns: list[str], kinds: list[str], batch: pa.Table) -> pa.Table:
+    """Map step of :func:`profile_table`: each column's row and NULL counts
+    (one row, value keys NULL), then its distinct valid values as keys."""
+    m = len(columns)
+    out = [pa.table({"c": pa.array(range(m), pa.int32()),
+                     "i": pa.nulls(m, pa.int64()), "s": pa.nulls(m, pa.large_string()),
+                     "n": pa.array([batch.num_rows] * m, pa.int64()),
+                     "nulls": pa.array([batch.column(c).null_count for c in columns],
+                                       pa.int64())})]
+    for ci, (c, kind) in enumerate(zip(columns, kinds)):
+        k = _keys(batch.column(c), kind)
+        none = pa.nulls(len(k), pa.int64())
+        out.append(pa.table({
+            "c": pa.array(np.full(len(k), ci, np.int32)),
+            "i": none if kind == "str" else k,
+            "s": k if kind == "str" else pa.nulls(len(k), pa.large_string()),
+            "n": none, "nulls": none}))
+    return pa.concat_tables(out)
+
+
+def _profile_part(kinds: list[str], part: pa.Table) -> pa.Table:
+    """Reduce step of :func:`profile_table`: per column of the part, its
+    distinct count, summed rows and NULLs, and the min/max of its distinct
+    values as keys (NULL when it has none)."""
+    rows = []
+    sums = part.group_by("c", use_threads=False).aggregate(
+        [("n", "sum"), ("nulls", "sum")])
+    for ci, n, nulls in zip(*(sums.column(k).to_pylist()
+                              for k in ("c", "n_sum", "nulls_sum"))):
+        kind = kinds[ci]
+        col = "s" if kind == "str" else "i"
+        vals = _decode(pc.unique(part.filter(pc.equal(part.column("c"), ci))
+                                 .column(col).drop_null()), kind)
+        lo = hi = None
+        if len(vals):
+            mm = pc.min_max(vals)
+            lo, hi = _encode(pa.array([mm["min"].as_py(), mm["max"].as_py()],
+                                      vals.type), kind).to_pylist()
+        rows.append({"c": ci, "n_rows": n or 0, "n_nulls": nulls or 0,
+                     "n_distinct": len(vals), f"min_{col}": lo, f"max_{col}": hi})
+    return pa.Table.from_pylist(rows, schema=_PART_SCHEMA)
+
+
+def _repr_out(v, kind: str) -> str | None:
+    if v is None:
+        return None
+    return f"{v:.6f}" if kind == "float" else str(v)
+
+
+def _table(columns: list[str], kinds: list[str], stats: list[list],
+           distinct: str) -> pa.Table:
+    """One row per column, sorted by name, from its ``[n_rows, n_nulls,
+    n_distinct, min, max]``.  A NULL min/max (an empty or all-NULL column,
+    as SQL's MIN/MAX) stays NULL; a float prints as %.6f, as DuckDB's
+    printf."""
+    rows = sorted(zip(columns, kinds, stats))
+    return pa.table({
+        "col_name": pa.array([c for c, _, _ in rows], pa.string()),
+        **{name: pa.array([st[j] for _, _, st in rows], pa.int64())
+           for j, name in enumerate(("n_rows", "n_nulls", distinct))},
+        **{name: pa.array([_repr_out(st[j], k) for _, k, st in rows], pa.string())
+           for j, name in ((3, "min_repr"), (4, "max_repr"))}})
 
 
 def profile_table(ds, columns: list[str]) -> pa.Table:
     """Profile ``columns`` of ``ds``: one output row per column with
     n_rows, n_nulls, n_distinct (exact), min_repr, max_repr (col_name keys the row)."""
-    import pyarrow.compute as pc
+    from engine.stages import exchange
 
-    from engine.stages import exchange, keyed_tree_reduce
+    kinds = _kinds(ds, columns)
+    keys = ds.map_batches(functools.partial(_typed_keys, columns, kinds),
+                          batch_format="pyarrow", zero_copy_batch=True)
+    parts = exchange(keys, ["c", "i", "s"], functools.partial(_profile_part, kinds),
+                     _PART_SCHEMA).take_all()   # <= parts x columns rows
 
-    kinds: dict[str, str] = {
-        f.name: _column_kind(f.type)
-        for f in ds.schema().base_schema if f.name in set(columns)}
-    missing = [c for c in columns if c not in kinds]
-    if missing:
-        raise KeyError(f"columns not in dataset: {missing}")
+    def column(ci: int, kind: str) -> list:
+        rs = [r for r in parts if r["c"] == ci]
+        key = "s" if kind == "str" else "i"
+        out = [sum(r[k] for r in rs) for k in ("n_rows", "n_nulls", "n_distinct")]
+        for end, agg in (("min", pc.min), ("max", pc.max)):
+            vs = [r[f"{end}_{key}"] for r in rs if r[f"{end}_{key}"] is not None]
+            out.append(agg(_decode(pa.array(vs), kind)).as_py() if vs else None)
+        return out
 
-    def norm(col: pa.ChunkedArray | pa.Array, kind: str):
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if kind == "ts":
-            arr = arr.cast(pa.int64())
-        return arr
-
-    def stats_partial(batch: pa.Table) -> pa.Table:
-        st = {}
-        for c in columns:
-            arr = norm(batch.column(c), kinds[c])
-            nulls = arr.null_count
-            sub = {"n": len(arr), "nulls": nulls, "min": None, "max": None}
-            if len(arr) > nulls:
-                sub["min"] = pc.min(arr).as_py()
-                sub["max"] = pc.max(arr).as_py()
-            st[c] = sub
-        return pa.table({"state": pa.array([json.dumps(st)],
-                                           pa.large_string())})
-
-    def merge(a: dict, b: dict) -> dict:
-        lo = [v for v in (a["min"], b["min"]) if v is not None]
-        hi = [v for v in (a["max"], b["max"]) if v is not None]
-        return {"n": a["n"] + b["n"], "nulls": a["nulls"] + b["nulls"],
-                "min": min(lo) if lo else None,
-                "max": max(hi) if hi else None}
-
-    merged = keyed_tree_reduce(
-        ds.map_batches(stats_partial, batch_format="pyarrow",
-                       zero_copy_batch=True), merge)
-
-    def distinct_pairs(batch: pa.Table) -> pa.Table:
-        cols, vals = [], []
-        for c in columns:
-            arr = norm(batch.column(c), kinds[c])
-            uniq = pc.unique(arr.drop_null()).to_numpy(zero_copy_only=False)
-            canon = _canonical(uniq, kinds[c])
-            cols.extend([c] * len(canon))
-            vals.extend(canon)
-        return pa.table({"col_name": pa.array(cols, pa.string()),
-                         "v": pa.array(vals, pa.large_string())})
-
-    def count_part(part: pa.Table) -> pa.Table:
-        # One partition holds every copy of its values: dedup the pairs,
-        # then count them per column — two Arrow hash aggregates.
-        pairs = part.group_by(["col_name", "v"], use_threads=False) \
-            .aggregate([])
-        g = pairs.group_by("col_name", use_threads=False) \
-            .aggregate([([], "count_all")])
-        return pa.table({"col_name": g.column("col_name"),
-                         "n": g.column("count_all")})
-
-    distinct: dict[str, int] = {}
-    for r in exchange(ds.map_batches(distinct_pairs, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                      ["col_name", "v"], count_part,
-                      pa.schema([("col_name", pa.string()), ("n", pa.int64())])) \
-            .take_all():   # <= parts x columns rows
-        distinct[r["col_name"]] = distinct.get(r["col_name"], 0) + r["n"]
-
-    rows = sorted(columns)
-    return pa.table({
-        "col_name": pa.array(rows, pa.string()),
-        "n_rows": pa.array([merged[c]["n"] if c in merged else 0
-                            for c in rows], pa.int64()),
-        "n_nulls": pa.array([merged[c]["nulls"] if c in merged else 0
-                             for c in rows], pa.int64()),
-        "n_distinct": pa.array([distinct.get(c, 0) for c in rows],
-                               pa.int64()),
-        # SQL MIN/MAX of an empty/all-null column is NULL — mirror that
-        # (an empty-corpus profile must hash-match the oracle).
-        "min_repr": pa.array(
-            [_repr_out(merged[c]["min"], kinds[c])
-             if c in merged and merged[c]["min"] is not None else None
-             for c in rows], pa.string()),
-        "max_repr": pa.array(
-            [_repr_out(merged[c]["max"], kinds[c])
-             if c in merged and merged[c]["max"] is not None else None
-             for c in rows], pa.string()),
-    })
+    return _table(columns, kinds, [column(ci, k) for ci, k in enumerate(kinds)],
+                  "n_distinct")
 
 
 def profile_table_approx(ds, columns: list[str], *, p: int = 14) -> pa.Table:
@@ -165,82 +184,38 @@ def profile_table_approx(ds, columns: list[str], *, p: int = 14) -> pa.Table:
 
     Output schema matches ``profile_table`` except ``n_distinct`` becomes
     ``n_distinct_approx`` (standard error ≈ 1.04/sqrt(2^p) ≈ 0.8% at the
-    default p=14).  Values are canonicalized exactly as the exact pass
-    (float.hex etc.), so both paths count the same value identity.
+    default p=14).  The registers hash the exact pass's keys, so both
+    paths count the same value identity.
     """
-    import pyarrow.compute as pc
-
     from engine.checks.sketches import HyperLogLog
     from engine.stages import keyed_tree_reduce
 
-    kinds: dict[str, str] = {
-        f.name: _column_kind(f.type)
-        for f in ds.schema().base_schema if f.name in set(columns)}
-    missing = [c for c in columns if c not in kinds]
-    if missing:
-        raise KeyError(f"columns not in dataset: {missing}")
-
-    def norm(col: pa.ChunkedArray | pa.Array, kind: str):
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if kind == "ts":
-            arr = arr.cast(pa.int64())
-        return arr
+    kinds = _kinds(ds, columns)
 
     def partial(batch: pa.Table) -> pa.Table:
         st = {}
-        for c in columns:
-            arr = norm(batch.column(c), kinds[c])
-            nulls = arr.null_count
-            sub = {"n": len(arr), "nulls": nulls, "min": None, "max": None}
-            if len(arr) > nulls:
-                sub["min"] = pc.min(arr).as_py()
-                sub["max"] = pc.max(arr).as_py()
+        for c, kind in zip(columns, kinds):
+            keys = _keys(batch.column(c), kind)
             hll = HyperLogLog(p)
-            uniq = pc.unique(arr.drop_null()).to_numpy(zero_copy_only=False)
-            if uniq.size:
-                hll.update(np.asarray(_canonical(uniq, kinds[c]),
-                                      dtype=object))
-            sub["hll"] = hll.registers.tobytes().hex()
-            st[c] = sub
-        return pa.table({"state": pa.array([json.dumps(st)],
-                                           pa.large_string())})
+            if len(keys):
+                hll.update(keys.to_numpy(zero_copy_only=False))
+            mm = pc.min_max(_decode(keys, kind))
+            st[c] = {"n": batch.num_rows, "nulls": batch.column(c).null_count,
+                     "min": mm["min"].as_py(), "max": mm["max"].as_py(),
+                     "hll": hll.state()}
+        return pa.table({"state": pa.array([json.dumps(st)], pa.large_string())})
 
     def merge(a: dict, b: dict) -> dict:
         lo = [v for v in (a["min"], b["min"]) if v is not None]
         hi = [v for v in (a["max"], b["max"]) if v is not None]
-        ra = np.frombuffer(bytes.fromhex(a["hll"]), dtype=np.uint8)
-        rb = np.frombuffer(bytes.fromhex(b["hll"]), dtype=np.uint8)
         return {"n": a["n"] + b["n"], "nulls": a["nulls"] + b["nulls"],
-                "min": min(lo) if lo else None,
-                "max": max(hi) if hi else None,
-                "hll": np.maximum(ra, rb).tobytes().hex()}
+                "min": min(lo) if lo else None, "max": max(hi) if hi else None,
+                "hll": HyperLogLog.from_state(a["hll"])
+                .merge(HyperLogLog.from_state(b["hll"])).state()}
 
     merged = keyed_tree_reduce(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True), merge)
-
-    def est(c: str) -> int:
-        if c not in merged:
-            return 0
-        hll = HyperLogLog(p)
-        hll.registers = np.frombuffer(
-            bytes.fromhex(merged[c]["hll"]), dtype=np.uint8).copy()
-        return int(round(hll.estimate()))
-
-    rows = sorted(columns)
-    return pa.table({
-        "col_name": pa.array(rows, pa.string()),
-        "n_rows": pa.array([merged[c]["n"] if c in merged else 0
-                            for c in rows], pa.int64()),
-        "n_nulls": pa.array([merged[c]["nulls"] if c in merged else 0
-                             for c in rows], pa.int64()),
-        "n_distinct_approx": pa.array([est(c) for c in rows], pa.int64()),
-        "min_repr": pa.array(
-            [_repr_out(merged[c]["min"], kinds[c])
-             if c in merged and merged[c]["min"] is not None else None
-             for c in rows], pa.string()),
-        "max_repr": pa.array(
-            [_repr_out(merged[c]["max"], kinds[c])
-             if c in merged and merged[c]["max"] is not None else None
-             for c in rows], pa.string()),
-    })
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), merge)
+    return _table(columns, kinds, [
+        [m["n"], m["nulls"], int(round(HyperLogLog.from_state(m["hll"]).estimate())),
+         m["min"], m["max"]] if (m := merged.get(c)) else [0, 0, 0, None, None]
+        for c in columns], "n_distinct_approx")

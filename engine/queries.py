@@ -702,20 +702,28 @@ FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 # ------------------------------------------------------------ repair/extract
 
 
+def _props_k(props: list) -> pa.Array:
+    """``$.k`` of each parsed props value as BIGINT: NULL where a value is
+    not an object, has no ``k`` or holds no integer (NULL-on-invalid, as
+    SQL's ``json_extract``; a bad row never kills the worker)."""
+    ks = []
+    for v in props:
+        try:
+            ks.append(int(v["k"]) if isinstance(v, dict) and "k" in v else None)
+        except (TypeError, ValueError):
+            ks.append(None)
+    return pa.array(ks, pa.int64())
+
+
 def repair_extract_events(sf_dir: str):
-    """Tolerant-parse events.props, extract $.k as BIGINT (repair kernel in the loop)."""
-    from engine.repair.api import loads as tolerant_loads
+    """events.props parsed by ``engine.repair.api.loads_column`` (the C
+    scanner ``json.loads`` runs, the repair kernel for what it refuses),
+    with ``$.k`` extracted as BIGINT."""
+    from engine.repair.api import loads_column
 
     def extract(batch: pa.Table) -> pa.Table:
-        ks = []
-        for s in batch.column("props").to_pylist():
-            try:
-                v = json.loads(s)
-            except (json.JSONDecodeError, TypeError, ValueError):
-                v = tolerant_loads(s, skip_json_loads=True)
-            ks.append(int(v["k"]) if isinstance(v, dict) and "k" in v else None)
-        return pa.table({"event_id": batch.column("event_id"),
-                         "k": pa.array(ks, pa.int64())})
+        props = loads_column(batch.column("props").to_numpy(zero_copy_only=False))
+        return pa.table({"event_id": batch.column("event_id"), "k": _props_k(props)})
 
     return _read(sf_dir, "events", columns=["event_id", "props"]) \
         .map_batches(extract, batch_format="pyarrow", zero_copy_batch=True).sort("event_id")
@@ -943,45 +951,27 @@ def _events_jsonl_cache(sf_dir: str) -> str:
 
 
 def _repair_parse_lines(batch: pa.Table) -> pa.Table:
-    """Shared line kernel of the JSONL / gzip-JSONL text sources: tolerant-
-    parse each line, then parse the nested props JSON for $.k."""
-    from engine.repair.api import loads as tolerant_loads
+    """Shared line kernel of the JSONL / gzip-JSONL text sources: parse
+    each line, then its nested props JSON for $.k, both through
+    ``engine.repair.api.loads_column``.  NULL-on-invalid, mirroring SQL
+    json_extract: a line that parses to a non-object, a missing or non-int
+    event_id, or NULL props becomes a NULL cell, never a worker-killing
+    raise."""
+    from engine.repair.api import loads_column
 
-    eids, ks = [], []
-    for line in batch.column("text").to_pylist():
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, TypeError, ValueError):
-            obj = tolerant_loads(line, skip_json_loads=True)
-        # NULL-on-invalid, mirroring SQL json_extract: a repair that
-        # yields a non-dict, a missing/non-int event_id, or null props
-        # becomes a NULL cell, never a worker-killing raise (round-3
-        # ADVICE).
+    eids, props = [], []
+    for obj in loads_column(batch.column("text").to_numpy(zero_copy_only=False)):
         if not isinstance(obj, dict):
             eids.append(None)
-            ks.append(None)
+            props.append(None)
             continue
         try:
             eids.append(int(obj["event_id"]))
         except (KeyError, TypeError, ValueError):
             eids.append(None)
-        props = obj.get("props")
-        v = None
-        if props is not None:
-            try:
-                v = json.loads(props)
-            except (json.JSONDecodeError, TypeError, ValueError):
-                try:
-                    v = tolerant_loads(props, skip_json_loads=True)
-                except ValueError:
-                    v = None
-        try:
-            ks.append(int(v["k"]) if isinstance(v, dict) and "k" in v
-                      else None)
-        except (TypeError, ValueError):
-            ks.append(None)
+        props.append(obj.get("props"))
     return pa.table({"event_id": pa.array(eids, pa.int64()),
-                     "k": pa.array(ks, pa.int64())})
+                     "k": _props_k(loads_column(props))})
 
 
 def jsonl_repair_events(sf_dir: str):
@@ -3204,10 +3194,8 @@ FROM e FULL OUTER JOIN o ON e.key = o.key ORDER BY key
 
 def profile_events(sf_dir: str):
     """Whole-table column profile of events (count / nulls / exact distinct
-    / min-max per column) — see engine/checks/profile.py for the two-pass
-    scale shape (tree-reduced partials + one hash-partitioned exchange of
-    batch-deduped (column, value) pairs, counted per partition in Arrow;
-    HLL swap-in at 100 TB)."""
+    / min-max per column): one read and one exchange of typed keys, see
+    engine/checks/profile.py."""
     from engine.checks.profile import profile_table
 
     return profile_table(

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Literal, TextIO, overload
+from typing import Any, Iterable, Literal, TextIO, overload
 
 from .common import JSONReturnType
 from .core import RepairParser
@@ -213,6 +213,42 @@ def loads(
         schema=schema,
         schema_repair_mode=schema_repair_mode,
     )
+
+
+# The C scanner ``json.loads`` runs (``JSONDecoder.raw_decode``), built once
+# per process: a scanner object cannot be pickled into a Ray UDF.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def loads_column(values: Iterable[Any]) -> list[Any]:
+    """``json.loads`` of each of ``values``, else its tolerant parse.
+
+    A value the C scanner consumes whole from offset 0 is exactly what
+    ``json.loads`` returns, without its Python wrapper.  Any other value
+    (surrounding whitespace, trailing data, invalid JSON, bytes) goes
+    through ``json.loads`` and then ``loads(value, skip_json_loads=True)``.
+    A NULL (None), and a value the tolerant parser refuses with
+    ``ValueError``, give None, as SQL's ``json_extract`` gives NULL."""
+    out: list[Any] = []
+    for s in values:
+        if s is None:
+            out.append(None)
+            continue
+        try:
+            v, end = _scan_once(s, 0)
+            if end == len(s):
+                out.append(v)
+                continue
+        except (StopIteration, TypeError, ValueError):
+            pass
+        try:
+            out.append(json.loads(s))
+        except (TypeError, ValueError):
+            try:
+                out.append(loads(s, skip_json_loads=True))
+            except ValueError:
+                out.append(None)
+    return out
 
 
 def load(

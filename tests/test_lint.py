@@ -107,3 +107,13 @@ def test_no_hand_made_part_exchange():
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if 'groupby("part")' in line]
     assert not offenders, "\n".join(offenders)
+
+
+def test_strict_then_tolerant_parse_lives_in_one_helper():
+    """The driver queries parse JSON through engine.repair.api.loads_column:
+    no json.loads-then-repair chain of their own, caught by JSONDecodeError."""
+    offenders = [f"{path}:{i}" for path in (ROOT / "engine" / "queries.py",
+                                            ROOT / "__ray_entry__.py")
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "JSONDecodeError" in line]
+    assert not offenders, "\n".join(offenders)

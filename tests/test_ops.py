@@ -1194,6 +1194,73 @@ def test_profile_table_float_identity(ray_session):
     assert out.loc["null_f", "min_repr"] is None
 
 
+def test_profile_table_reads_its_input_once(ray_session, tmp_path):
+    """Every aggregate of profile_table shares one pass: each read task of
+    its input runs once per call."""
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data.datasource import ReadTask
+
+    from engine.checks.profile import profile_table
+    from engine.io import RowGroupParquetDatasource
+
+    log = tmp_path / "reads.log"
+
+    class CountedReads(RowGroupParquetDatasource):
+        def get_read_tasks(self, parallelism):
+            def counted(task):
+                def read():
+                    with open(log, "a") as f:
+                        f.write("read\n")
+                    return task()
+                return ReadTask(read, task.metadata, task.schema)
+            return [counted(t) for t in super().get_read_tasks(parallelism)]
+
+    t = pa.table({"i": pa.array(range(400), pa.int64()),
+                  "s": pa.array([f"v{x % 7}" for x in range(400)], pa.string())})
+    pq.write_table(t, tmp_path / "t.parquet", row_group_size=100)
+    source = CountedReads(str(tmp_path / "t.parquet"))
+    ds = ray.data.read_datasource(source, override_num_blocks=source.num_tasks())
+    out = profile_table(ds, ["i", "s"]).to_pandas().set_index("col_name")
+    assert out.loc["i"].tolist() == [400, 0, 400, "0", "399"]
+    assert out.loc["s"].tolist() == [400, 0, 7, "v0", "v6"]
+    assert log.read_text().count("read") == 4
+
+
+def test_profile_table_keys_are_typed():
+    """The map step ships a numeric column's values as int64 keys (a
+    float by its bits, every NaN one NaN) and only a string column's as
+    strings, plus one count row per column whose value keys are NULL."""
+    import pyarrow.compute as pc
+
+    from engine.checks.profile import _typed_keys
+
+    batch = pa.table({
+        "i": pa.array([3, None, 3, 1], pa.int32()),
+        "f": pa.array([float("nan"), -0.0, 0.0, None], pa.float64()),
+        "ts": pa.array([10, 10, None, None], pa.timestamp("us")),
+        "s": pa.array(["b", "a", "b", None], pa.string()),
+    })
+    keys = _typed_keys(["i", "f", "ts", "s"], ["int", "float", "ts", "str"], batch)
+    assert keys.schema.field("i").type == pa.int64()
+    assert keys.schema.field("s").type == pa.large_string()
+    counts = keys.filter(pc.is_valid(keys.column("n")))
+    assert counts.column("c").to_pylist() == [0, 1, 2, 3]
+    assert counts.column("nulls").to_pylist() == [1, 1, 2, 1]
+    assert counts.column("i").null_count == counts.column("s").null_count == 4
+    vals = keys.filter(pc.is_null(keys.column("n")))
+    per_col = {c: vals.filter(pc.equal(vals.column("c"), c)) for c in range(4)}
+    for c in (0, 1, 2):
+        assert per_col[c].column("s").null_count == per_col[c].num_rows
+        assert per_col[c].column("i").null_count == 0
+    assert sorted(per_col[0].column("i").to_pylist()) == [1, 3]
+    assert sorted(per_col[1].column("i").to_pylist()) == sorted(
+        np.array([float("nan"), -0.0, 0.0]).view(np.int64).tolist())
+    assert per_col[2].column("i").to_pylist() == [10]
+    assert per_col[3].column("i").null_count == per_col[3].num_rows
+    assert sorted(per_col[3].column("s").to_pylist()) == ["a", "b"]
+
+
 def test_constraint_suite_null_semantics_and_errors():
     from engine.checks.constraints import ConstraintSuite
 

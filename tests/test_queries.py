@@ -972,6 +972,68 @@ def test_jsonl_repair_recovers_planted_malformations(ray_session):
         == [(r["event_id"], r["k"]) for r in want]
 
 
+def test_repair_extract_events_matches_per_row_loop(ray_session, tmp_path):
+    """repair_extract_events over a crafted events table (three row groups)
+    gives what a per-row json.loads-then-repair loop gives: whitespace,
+    trailing data, duplicate keys, NaN, non-objects and malformed props.
+    A NULL props gives a NULL k."""
+    import json as _json
+
+    import pyarrow.parquet as pq
+
+    from engine.queries import repair_extract_events
+    from engine.repair.api import loads as tolerant_loads
+
+    props = ['{"k": 1}', ' {"k": 2} ', '{"k": 3} x', '{"k": 1, "k": 4}',
+             '{"k": 5, "v": NaN}', '{"k": 6.9}', '{"k": "7"}', '{"k": true}',
+             '[1]', '"s"', 'null', '{"j": 1}', "{'k': 8}", '{"k": 9',
+             '{"k": 10,}', '{k: 11}', '', 'abc', '{"k": -12}', '\t{"k":13}\n']
+    eids = list(range(len(props)))
+    pq.write_table(pa.table({"event_id": pa.array(eids[::-1], pa.int64()),
+                             "props": pa.array(props[::-1], pa.string())}),
+                   tmp_path / "events.parquet", row_group_size=7)
+
+    def per_row(s):
+        try:
+            v = _json.loads(s)
+        except (_json.JSONDecodeError, TypeError, ValueError):
+            v = tolerant_loads(s, skip_json_loads=True)
+        return int(v["k"]) if isinstance(v, dict) and "k" in v else None
+
+    got = [(r["event_id"], r["k"]) for r in repair_extract_events(str(tmp_path)).take_all()]
+    assert got == [(e, per_row(s)) for e, s in zip(eids, props)]
+    assert sum(k is not None for _, k in got) >= 12
+
+    pq.write_table(pa.table({"event_id": pa.array([0, 1], pa.int64()),
+                             "props": pa.array([None, '{"k": 1}'], pa.string())}),
+                   tmp_path / "events.parquet")
+    assert [r["k"] for r in repair_extract_events(str(tmp_path)).take_all()] == [None, 1]
+
+
+@pytest.mark.parametrize("gate", ["default", "zero"])
+def test_orphan_orders_finds_orphans_like_sql(gate, ray_session, monkeypatch, tmp_path):
+    """The sf0.001 orders with every third customer removed: orphan_orders
+    must report the orders of the missing customers as DuckDB does, on the
+    broadcast path and (gate 0) on the exchange anti-join."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from engine import queries as q
+
+    cust = pq.read_table(f"{SF_DIR}/customer.parquet")
+    keep = cust.column("c_custkey").to_numpy() % 3 != 0
+    pq.write_table(cust.filter(pa.array(keep)), tmp_path / "customer.parquet")
+    (tmp_path / "orders.parquet").symlink_to(f"{SF_DIR}/orders.parquet")
+    con = duckdb.connect()
+    for t in ("customer", "orders"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')")
+    n_orphans = con.sql(q.ORPHAN_ORDERS_SQL).arrow().num_rows
+    assert 0 < n_orphans < con.sql("SELECT COUNT(*) FROM orders").fetchone()[0]
+    if gate == "zero":
+        monkeypatch.setattr(q, "DIM_BROADCAST_MAX_ROWS", 0)
+    _assert_matches_oracle("orphan_orders", str(tmp_path), con)
+
+
 def test_jsonl_gz_source_matches_plaintext(ray_session):
     """The gzip-sharded source must decompress-stream to exactly the same
     rows as the plaintext JSONL path, from genuinely multiple shards."""

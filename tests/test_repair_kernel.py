@@ -280,3 +280,48 @@ def test_fence_in_key_crash_cases_are_graceful(raw):
     assert isinstance(log, list) and log
     # the stream_stable path must be graceful on these inputs too
     _json.dumps(repair_json(raw, return_objects=True, stream_stable=True))
+
+
+LOADS_COLUMN_CASES = [
+    '{"k": 1}', ' {"k": 1}', '{"k": 1} \n', '\t[1, 2]\r\n',          # whitespace
+    '{"k": 1} x', '{"k": 1}{"k": 2}', '[1] [2]',                       # trailing data
+    "NaN", "[Infinity, -Infinity, NaN]", '{"k": NaN}',
+    "123456789012345678901234567890", '{"k": 18446744073709551616}',   # ints > 2^63
+    "1", "-0", "-0.0", "1.5e3", '"s"', "true", "null", "[]",          # non-objects
+    '{"k": 1, "k": 2}',                                                # duplicate keys
+    '"\\u00e9\\n\\t\\"\\\\\\/"', '{"a\\u0000b": "\\ud83d\\ude00"}',     # escapes
+    '"\\ud800"', '"\\udc00x"', '"\ud800"',                             # lone surrogates
+    "\ufeff{\"k\": 1}", '"\x01"',                                 # BOM, raw control char
+    '{"k": 1', "{'k': 2}", '{"k": 3,}', '{"k": }', "", "   ", "abc",   # malformed
+    b'{"k": 4}',
+]
+
+
+def test_loads_column_gives_what_json_loads_gives():
+    """Each value parses as ``json.loads`` parses it; a value ``json.loads``
+    refuses gets the tolerant parse; NULL and a value the tolerant parser
+    refuses with ValueError give None."""
+    import json
+
+    from engine.repair.api import loads_column
+
+    def one(s):
+        if s is None:
+            return None
+        try:
+            return json.loads(s)
+        except ValueError:
+            try:
+                return loads(s, skip_json_loads=True)
+            except ValueError:
+                return None
+
+    too_deep = ("{a: [" * 10_000) + "1" + ("]}" * 10_000)
+    values = [*LOADS_COLUMN_CASES, None, too_deep]
+    got = loads_column(values)
+    assert len(got) == len(values)
+    for s, v in zip(values, got):
+        assert repr(v) == repr(one(s)), s
+    assert got[-1] is None and got[-2] is None
+    assert repr(loads_column(["NaN"])[0]) == "nan"
+    assert type(loads_column(['{"k": 18446744073709551616}'])[0]["k"]) is int
