@@ -67,8 +67,9 @@ def prepare_flagship_input(n_clips: int) -> None:
 def run_flagship(n_clips: int) -> dict:
     """Validate the clips table from parquet (the production ingest path:
     read → repair+schema+audio-SNR check task → referential probe → sketch
-    partials, the last three fused into one Ray Data operator).  Corpus
-    synthesis is cached to parquet and excluded from the timed window."""
+    partials, all four fused into one Ray Data operator, one task per
+    parquet row group).  Corpus synthesis is cached to parquet and excluded
+    from the timed window."""
     import ray
 
     from engine.data.clips import cached_clips_dataset, speakers_table

@@ -10,15 +10,17 @@ One read, one exchange; every aggregate shares the pass (LMFAO's shape):
      valid values, plus one row of the batch's row and NULL counts whose
      value keys are NULL.  A key is the column index (int32) and either an
      int64 (ints, timestamps, and floats by their bits, every NaN as one
-     NaN, -0.0 and 0.0 two values) or, for a string column only, a
-     large_string.  Distinctness is SQL value equality, up to signed zeros.
+     NaN, -0.0 as 0.0) or, for a string column only, a large_string.
+     Distinctness is DuckDB's value equality: one NaN, and -0.0 = 0.0.
      A uint64 value above 2^63 - 1 has no int64 key: its cast raises.
   2. ``stages.exchange`` on those keys brings every copy of a value to one
      part.  Per column a part counts its distinct values, sums the rows and
-     NULLs, and takes min/max with Arrow's kernel over its distinct values
-     decoded back to their type.
+     NULLs, and takes min/max over its distinct values decoded back to
+     their type, in DuckDB's order: NaN above every number.
   3. The driver combines at most parts x columns rows and formats the
-     min/max reprs (%.6f for floats, matching DuckDB printf).
+     min/max reprs (%.6f for floats, matching DuckDB printf).  A signed
+     zero prints as 0.000000; DuckDB prints whichever zero it met first,
+     so its repr depends on the input order.
 
 The keys are batch-deduped, so a repetitive column ships far fewer rows
 than it has.  At 100 TB use ``profile_table_approx`` below — ONE pass, HLL
@@ -65,12 +67,13 @@ def _kinds(ds, columns: list[str]) -> list[str]:
 
 def _encode(vals: pa.Array, kind: str) -> pa.Array:
     """Non-NULL values as keys: large_string for a string column, else
-    int64, a float by its bits with every NaN payload as one NaN."""
+    int64, a float by its bits with every NaN payload as one NaN and -0.0
+    as 0.0 (``+ 0.0`` turns -0.0 into 0.0 and leaves NaN a NaN)."""
     if kind == "str":
         return vals.cast(pa.large_string())
     if kind != "float":
         return vals.cast(pa.int64())
-    f = vals.cast(pa.float64()).to_numpy(zero_copy_only=False)
+    f = vals.cast(pa.float64()).to_numpy(zero_copy_only=False) + 0.0
     return pa.array(np.where(np.isnan(f), _NAN_BITS, f.view(np.int64)))
 
 
@@ -84,6 +87,18 @@ def _decode(keys, kind: str) -> pa.Array:
     if kind == "float":
         return pa.array(keys.to_numpy(zero_copy_only=False).view(np.float64))
     return keys
+
+
+def _min_max(vals: pa.Array, kind: str) -> tuple:
+    """Min and max of non-empty, non-NULL ``vals`` in DuckDB's
+    order, where NaN is above every number.  Arrow's ``min_max`` skips NaN
+    (and gives inf/-inf on an all-NaN input)."""
+    mm = pc.min_max(vals)
+    n_nan = pc.sum(pc.is_nan(vals)).as_py() if kind == "float" else 0
+    if n_nan:
+        nan = float("nan")
+        return (nan if n_nan == len(vals) else mm["min"].as_py()), nan
+    return mm["min"].as_py(), mm["max"].as_py()
 
 
 def _typed_keys(columns: list[str], kinds: list[str], batch: pa.Table) -> pa.Table:
@@ -121,9 +136,7 @@ def _profile_part(kinds: list[str], part: pa.Table) -> pa.Table:
                                  .column(col).drop_null()), kind)
         lo = hi = None
         if len(vals):
-            mm = pc.min_max(vals)
-            lo, hi = _encode(pa.array([mm["min"].as_py(), mm["max"].as_py()],
-                                      vals.type), kind).to_pylist()
+            lo, hi = _encode(pa.array(list(_min_max(vals, kind)), vals.type), kind).to_pylist()
         rows.append({"c": ci, "n_rows": n or 0, "n_nulls": nulls or 0,
                      "n_distinct": len(vals), f"min_{col}": lo, f"max_{col}": hi})
     return pa.Table.from_pylist(rows, schema=_PART_SCHEMA)
@@ -165,9 +178,9 @@ def profile_table(ds, columns: list[str]) -> pa.Table:
         rs = [r for r in parts if r["c"] == ci]
         key = "s" if kind == "str" else "i"
         out = [sum(r[k] for r in rs) for k in ("n_rows", "n_nulls", "n_distinct")]
-        for end, agg in (("min", pc.min), ("max", pc.max)):
+        for j, end in enumerate(("min", "max")):
             vs = [r[f"{end}_{key}"] for r in rs if r[f"{end}_{key}"] is not None]
-            out.append(agg(_decode(pa.array(vs), kind)).as_py() if vs else None)
+            out.append(_min_max(_decode(pa.array(vs), kind), kind)[j] if vs else None)
         return out
 
     return _table(columns, kinds, [column(ci, k) for ci, k in enumerate(kinds)],

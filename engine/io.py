@@ -20,10 +20,12 @@ The row groups are the planning unit because the writer already chose them:
 no new knob, and the task count comes from footer metadata alone.  The
 driver queries read their tables through this seam too
 (``engine.queries._read``), so a one-row-group table is one block, and Ray
-fuses its read with the query's first map.  Feeding
-``(path, row group)`` items through ``from_items().map_batches(read)`` does
-NOT work: that map fuses with the batch-size-bound check map after it, and
-the fused operator bundles all the one-row items into a single task.
+fuses its read with the query's first map.  The clip check
+(``engine.run.validate_clips_dataset``) passes Ray Data no ``batch_size``,
+so it fuses with the read as well: one task reads a row group and checks
+it, and the audio payloads never go through the object store.  Ray does not
+fuse a read with a ``batch_size`` map, whose minimum bundle size could
+merge the read's blocks.
 """
 
 from __future__ import annotations

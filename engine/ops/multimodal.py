@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from engine.audio import AudioDecodeError, decode_any
+from engine.stages import binary_views
 
 
 class AudioFeatureStage:
@@ -29,7 +30,7 @@ class AudioFeatureStage:
         self.codec_col = codec_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         codecs = batch.column(self.codec_col).to_pylist()
         n = batch.num_rows
         rms = np.full(n, np.nan)
@@ -38,7 +39,7 @@ class AudioFeatureStage:
         ok = np.zeros(n, dtype=bool)
         for i in range(n):
             try:
-                sig, _sr = decode_any(blobs[i].as_py(), codecs[i])
+                sig, _sr = decode_any(blobs[i], codecs[i])
             except (AudioDecodeError, NotImplementedError):
                 continue
             ok[i] = True
@@ -81,7 +82,7 @@ class AudioChunkStage:
         self.min_ms = min_ms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         codecs = batch.column(self.codec_col).to_pylist()
         srs = (batch.column(self.sr_col).to_numpy(zero_copy_only=False)
                if self.sr_col else None)
@@ -93,7 +94,7 @@ class AudioChunkStage:
         rms: list[np.ndarray] = []
         for i in range(batch.num_rows):
             try:
-                sig, dec_sr = decode_any(blobs[i].as_py(), codecs[i])
+                sig, dec_sr = decode_any(blobs[i], codecs[i])
             except (AudioDecodeError, NotImplementedError):
                 continue
             sr = int(srs[i]) if srs is not None else int(dec_sr)
@@ -182,7 +183,7 @@ class AudioSpectrogramStage:
         return self._fb_cache[sr]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         codecs = batch.column(self.codec_col).to_pylist()
         n = batch.num_rows
         ok = np.zeros(n, dtype=bool)
@@ -192,7 +193,7 @@ class AudioSpectrogramStage:
         mel_out: list[list[float] | None] = []
         for i in range(n):
             try:
-                sig, sr = decode_any(blobs[i].as_py(), codecs[i])
+                sig, sr = decode_any(blobs[i], codecs[i])
             except (AudioDecodeError, NotImplementedError):
                 mel_out.append(None)
                 continue
@@ -242,7 +243,7 @@ class AudioTrimStage:
         self.threshold = threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         codecs = batch.column(self.codec_col).to_pylist()
         n = batch.num_rows
         ok = np.zeros(n, dtype=bool)
@@ -253,7 +254,7 @@ class AudioTrimStage:
         kept_rms = np.full(n, np.nan)
         for i in range(n):
             try:
-                sig, _sr = decode_any(blobs[i].as_py(), codecs[i])
+                sig, _sr = decode_any(blobs[i], codecs[i])
             except (AudioDecodeError, NotImplementedError):
                 continue
             ok[i] = True
@@ -307,7 +308,7 @@ class AudioResampleStage:
                          sig.astype(np.float64)).astype(np.float32)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         codecs = batch.column(self.codec_col).to_pylist()
         n = batch.num_rows
         ok = np.zeros(n, dtype=bool)
@@ -316,7 +317,7 @@ class AudioResampleStage:
         rms = np.full(n, np.nan)
         for i in range(n):
             try:
-                sig, sr = decode_any(blobs[i].as_py(), codecs[i])
+                sig, sr = decode_any(blobs[i], codecs[i])
             except (AudioDecodeError, NotImplementedError):
                 continue
             ok[i] = True
@@ -584,7 +585,7 @@ class FlacStereoFeatureStage:
         from engine.audio import AudioDecodeError
         from engine.flac import decode_flac, first_frame_assignment
 
-        blobs = batch.column(self.bytes_col)
+        blobs = binary_views(batch.column(self.bytes_col))
         n_rows = batch.num_rows
         ns = np.zeros(n_rows, dtype=np.int64)
         assign = np.zeros(n_rows, dtype=np.int32)
@@ -592,7 +593,7 @@ class FlacStereoFeatureStage:
         rms_r = np.zeros(n_rows, dtype=np.float64)
         ok = np.zeros(n_rows, dtype=bool)
         for i in range(n_rows):
-            raw = blobs[i].as_py() or b""
+            raw = blobs[i] or b""
             try:
                 pcm, _sr = decode_flac(raw)
                 assign[i] = first_frame_assignment(raw)

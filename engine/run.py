@@ -2,9 +2,11 @@
 
 Execution model (north_rule):
 
-  clips (Dataset, streaming blocks)
-    → clip_check_batch          [task: transcript repair + audio check, with
-                                 a per-worker-process ClipCheckStage]
+  clips (Dataset, streaming blocks: a parquet row group, or a generated block)
+    → clip_check_batch          [task, fused with the read or generation
+                                 map: transcript repair + audio check, with
+                                 a per-worker-process ClipCheckStage;
+                                 batch_size caps the rows per stage call]
     → fk_check_batch            [task, fused with the check by Ray Data]
     → fan-out:
         a) verdict rows         → write_parquet(part=K/)   [resumable]
@@ -56,28 +58,54 @@ VERDICT_COLS = [
 ]
 
 
+# The check Dataset's block bound (see validate_clips_dataset).
+CHECK_BLOCK_BYTES = 16 * 1024 * 1024
+
+
 def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None = None,
                            schema: dict | None = None, min_snr_db: float | None = None):
     """Attach the fused transcript + audio check to a clips Dataset (lazy).
 
-    The check is a stateless task (``clip_check_batch``), so Ray Data fuses
-    it with the task maps after it (fk check, sketch partials) into one
-    operator: audio payloads never cross the object store between stages,
-    the stage runs on every CPU, and the worker processes, with their
-    per-process stages, are reused across jobs.  ``concurrency`` optionally
-    caps the concurrent check tasks (a capped stage does not fuse with
-    uncapped maps).  ``schema`` / ``min_snr_db`` override the default
-    transcript schema and SNR threshold (run-config surface).
+    The check is a stateless task (``clip_check_batch``) over whole input
+    blocks, so Ray Data fuses it with the read or map before it and the
+    task maps after it (fk check, sketch partials) into one operator: a
+    parquet row group is read, checked and summarised in one task, audio
+    payloads never cross the object store, and the worker processes, with
+    their per-process stages, are reused across jobs.  ``batch_size`` caps
+    the rows one stage call sees; it is not passed to Ray Data, whose
+    ``batch_size`` maps do not fuse with the operator before them.
+    ``concurrency`` optionally caps the concurrent check tasks (a capped
+    stage does not fuse with uncapped maps).  ``schema`` / ``min_snr_db``
+    override the default transcript schema and SNR threshold (run-config
+    surface).
+
+    The check Dataset's own context (``Dataset.context``: one object that
+    ``ds`` and every Dataset derived from it share;
+    ``DataContext.get_current()`` is left alone) bounds its blocks at
+    ``CHECK_BLOCK_BYTES`` = 16 MB, so every CPU runs a check task from the
+    first one on.  Until a task has returned an
+    output, Ray Data (2.49) reserves two blocks of the bound for it, and
+    all the tasks share half of the object store: at Ray's default bound
+    (128 MB) a task reserves 256 MB, one fits a 768 MB store, and the
+    second task started only when the first ended.  At 16 MB a task
+    reserves 32 MB, and four fit in half of a 256 MB store.  The bound
+    still holds a check output block whole: the largest 512-clip row group
+    here is 9.3 MiB uncompressed, and the check adds five small columns.
+    No bound at all admits the same first wave, but ``python -m engine
+    validate --clips 4000`` then took about twice as long (19.3-21.5 s
+    against 9.1-11.3 s at 16 MB, on a loaded 4-CPU box).
     """
-    return ds.map_batches(
+    checked = ds.map_batches(
         clip_check_batch,
         fn_kwargs={"schema": schema,
-                   "min_snr_db": MIN_SNR_DB if min_snr_db is None else min_snr_db},
+                   "min_snr_db": MIN_SNR_DB if min_snr_db is None else min_snr_db,
+                   "max_rows": batch_size},
         batch_format="pyarrow",
-        batch_size=batch_size,
         concurrency=concurrency,
         zero_copy_batch=True,
     )
+    checked.context.target_max_block_size = CHECK_BLOCK_BYTES
+    return checked
 
 
 def attach_fk_check(ds, seed: int = 42):

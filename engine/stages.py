@@ -6,7 +6,7 @@ Each stage is a batch transform over zero-copy Arrow batches:
     transcript + audio check.  It calls a ``ClipCheckStage`` kept once per
     worker process, so compiled schema validators (the reference's validator
     cache, schema_repair.py:141-161) survive across tasks and jobs, and Ray
-    Data fuses it with the task maps after it.
+    Data fuses it with the read before it and the task maps after it.
   - ``TranscriptRepairStage``  — repairs/validates the transcript column.
   - ``AudioCheckStage``        — decode + SNR invariant.
   - ``sketch_partials_batch``  — stateless partial-aggregation task emitting
@@ -236,10 +236,19 @@ def _clip_stage(schema_json: str | None, mode: str, min_snr_db: float) -> ClipCh
 
 
 def clip_check_batch(batch: pa.Table, schema: dict | None = None, mode: str = "standard",
-                     min_snr_db: float = MIN_SNR_DB) -> pa.Table:
-    """Stateless task form of ``ClipCheckStage`` for ``map_batches``."""
+                     min_snr_db: float = MIN_SNR_DB, max_rows: int | None = None) -> pa.Table:
+    """Stateless task form of ``ClipCheckStage`` for ``map_batches``.
+
+    ``max_rows`` caps the rows one stage call sees: a larger block (a whole
+    row group, when the check is fused with the read) is checked in slices
+    of ``max_rows`` rows whose results are concatenated, row for row what
+    one call over the block gives."""
     schema_json = None if schema is None else json.dumps(schema)
-    return _clip_stage(schema_json, mode, min_snr_db)(batch)
+    stage = _clip_stage(schema_json, mode, min_snr_db)
+    if max_rows is None or batch.num_rows <= max_rows:
+        return stage(batch)
+    return pa.concat_tables([stage(batch.slice(lo, max_rows))
+                             for lo in range(0, batch.num_rows, max_rows)])
 
 
 # ----------------------------------------------------------- sketch partials

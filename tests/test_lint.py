@@ -117,3 +117,40 @@ def test_strict_then_tolerant_parse_lives_in_one_helper():
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if "JSONDecodeError" in line]
     assert not offenders, "\n".join(offenders)
+
+
+def test_no_global_data_context_writes():
+    """Ray Data settings under engine/ go on a Dataset's own context
+    (``ds.context``), never on ``DataContext.get_current()``, which every
+    later Dataset of the session copies.  The one exception is the job
+    CLI turning the progress bars off."""
+    def is_current(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get_current")
+
+    offenders = []
+    for path in (ROOT / "engine").rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {t.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and is_current(node.value)
+                   for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                written = [(t.value, t.attr) for t in node.targets
+                           if isinstance(t, ast.Attribute)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                t = node.target
+                written = [(t.value, t.attr)] if isinstance(t, ast.Attribute) else []
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and node.args):
+                written = [(node.args[0], "setattr")]
+            else:
+                continue
+            for obj, attr in written:
+                if not (is_current(obj) or (isinstance(obj, ast.Name) and obj.id in aliases)):
+                    continue
+                if (path == ROOT / "engine" / "__main__.py"
+                        and attr == "enable_progress_bars"):
+                    continue
+                offenders.append(f"{path}:{node.lineno} sets {attr}")
+    assert not offenders, "\n".join(offenders)

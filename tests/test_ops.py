@@ -1173,8 +1173,8 @@ def test_profile_table_more_partitions_than_values(ray_session, tmp_path):
 
 
 def test_profile_table_float_identity(ray_session):
-    """Distinct floats are float.hex identities: every NaN payload is one
-    value, -0.0 and 0.0 are two; an all-null column has 0 distinct."""
+    """Distinct floats are DuckDB's: every NaN payload is one value, and
+    -0.0 and 0.0 are one; an all-null column has 0 distinct."""
     import struct
 
     import ray.data
@@ -1187,11 +1187,33 @@ def test_profile_table_float_identity(ray_session):
                   "null_f": pa.array([None] * len(vals), pa.float64())})
     ds = ray.data.from_arrow([t, t.slice(2)])
     out = profile_table(ds, ["f", "null_f"]).to_pandas().set_index("col_name")
-    assert out.loc["f", "n_distinct"] == 4          # nan, -0.0, 0.0, 1.5
+    assert out.loc["f", "n_distinct"] == 3          # nan, 0.0, 1.5
     assert out.loc["f", "n_nulls"] == 2
     assert out.loc["null_f", ["n_rows", "n_nulls", "n_distinct"]] \
         .tolist() == [12, 12, 0]
     assert out.loc["null_f", "min_repr"] is None
+
+
+@pytest.mark.parametrize("vals", [[1.5, float("nan"), -2.0], [float("nan")], [-0.0, 0.0]])
+def test_profile_table_floats_match_duckdb(ray_session, vals):
+    """NaN is one value above every number (MAX is NaN when any value is,
+    MIN too when all are), and -0.0 and 0.0 are one value, as in DuckDB.
+    A signed zero's repr is not compared: DuckDB prints whichever zero it
+    met first."""
+    import duckdb
+    import ray.data
+
+    from engine.checks.profile import profile_table
+
+    t = pa.table({"f": pa.array(vals, pa.float64())})
+    got = profile_table(ray.data.from_arrow([t.slice(0, 1), t.slice(1)]), ["f"]).to_pylist()[0]
+    want = duckdb.sql("SELECT COUNT(*), COUNT(DISTINCT f), printf('%.6f', MIN(f)), "
+                      "printf('%.6f', MAX(f)) FROM t").fetchone()
+    assert (got["n_rows"], got["n_distinct"]) == want[:2]
+    if 0.0 in vals:
+        assert [float(got["min_repr"]), float(got["max_repr"])] == [float(v) for v in want[2:]]
+    else:
+        assert [got["min_repr"], got["max_repr"]] == list(want[2:])
 
 
 def test_profile_table_reads_its_input_once(ray_session, tmp_path):
@@ -1229,7 +1251,7 @@ def test_profile_table_reads_its_input_once(ray_session, tmp_path):
 
 def test_profile_table_keys_are_typed():
     """The map step ships a numeric column's values as int64 keys (a
-    float by its bits, every NaN one NaN) and only a string column's as
+    float by its bits, every NaN one NaN, -0.0 as 0.0) and only a string column's as
     strings, plus one count row per column whose value keys are NULL."""
     import pyarrow.compute as pc
 
@@ -1255,7 +1277,7 @@ def test_profile_table_keys_are_typed():
         assert per_col[c].column("i").null_count == 0
     assert sorted(per_col[0].column("i").to_pylist()) == [1, 3]
     assert sorted(per_col[1].column("i").to_pylist()) == sorted(
-        np.array([float("nan"), -0.0, 0.0]).view(np.int64).tolist())
+        np.array([float("nan"), 0.0]).view(np.int64).tolist())
     assert per_col[2].column("i").to_pylist() == [10]
     assert per_col[3].column("i").null_count == per_col[3].num_rows
     assert sorted(per_col[3].column("s").to_pylist()) == ["a", "b"]

@@ -303,3 +303,74 @@ def test_clip_check_batch_keeps_one_stage_per_config():
     assert stages._clip_stage.cache_info().currsize == 2
     assert not strict.column("audio_ok").to_numpy().any()
     assert strict.column("parse_ok").equals(first.column("parse_ok"))
+
+
+@pytest.mark.parametrize("n,max_rows", [(150, 64), (150, 150), (150, 400), (0, 64)])
+def test_clip_check_batch_row_cap_matches_one_call(n, max_rows):
+    """Capping the rows per stage call checks a block in slices: the rows,
+    in order, equal one uncapped call, whether or not the cap divides the
+    block, when it covers the whole block, and on an empty block."""
+    import numpy as np
+    import pandas as pd
+
+    import engine.stages as stages
+    from engine.data.clips import make_clips_batch
+
+    batch = make_clips_batch({"id": np.arange(150)}, seed=42).slice(0, n)
+    want = stages.clip_check_batch(batch)
+    got = stages.clip_check_batch(batch, max_rows=max_rows)
+    assert got.schema == want.schema
+    pd.testing.assert_frame_equal(got.to_pandas(), want.to_pandas())
+    if n:
+        assert not want.column("audio_ok").to_numpy().all()   # the defects are in
+
+
+def _row_group_check_plan(tmp_path, row_groups=4):
+    """The flagship chain (check, fk, sketch partials) over a clips table of
+    ``row_groups`` row groups of 50 rows, as a lazy Dataset."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from engine.data.clips import make_clips_batch
+    from engine.io import read_table
+    from engine.run import attach_fk_check, validate_clips_dataset
+    from engine.stages import sketch_partials_batch
+
+    path = str(tmp_path / "clips.parquet")
+    pq.write_table(make_clips_batch({"id": np.arange(50 * row_groups)}, seed=42), path,
+                   row_group_size=50)
+    checked = attach_fk_check(validate_clips_dataset(read_table(path), batch_size=32))
+    return checked.map_batches(sketch_partials_batch, batch_format="pyarrow",
+                               zero_copy_batch=True)
+
+
+def test_clip_check_fuses_with_the_row_group_read(ray_session, tmp_path):
+    """The check runs in the read task: one operator, one task per row
+    group, and no read operator of its own (whose output blocks, audio
+    payloads included, would go through the object store)."""
+    import re
+
+    stats = _row_group_check_plan(tmp_path).materialize().stats()
+    assert re.search(r"ReadRowGroupParquet->MapBatches\(clip_check_batch\)"
+                     r"->MapBatches\(<lambda>\)->MapBatches\(sketch_partials_batch\): "
+                     r"4 tasks executed", stats), stats
+    assert not re.search(r"ReadRowGroupParquet: ", stats), stats
+
+
+def test_clip_check_admits_one_task_per_cpu_before_its_first_output(ray_session, tmp_path):
+    """Until a task has returned an output, Ray Data reserves object store
+    for it from its block bound, and the executor's budget is half the
+    store.  The check's reservation lets 4 tasks start on a 768 MB store
+    (Ray's default bound reserves 256 MB, and one task runs alone), and it
+    comes from the check Dataset's own context, not the global one."""
+    import ray.data
+    from ray.data._internal.logical.optimizers import get_execution_plan
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    ds = _row_group_check_plan(tmp_path)
+    op = get_execution_plan(ds._logical_plan).dag
+    assert op.name.startswith("ReadRowGroupParquet->MapBatches(clip_check_batch)")
+    reserved = op.incremental_resource_usage().object_store_memory
+    assert 0 < 4 * reserved <= 768 * 1024 ** 2 / 2, reserved
+    assert (ray.data.DataContext.get_current().target_max_block_size
+            == DEFAULT_TARGET_MAX_BLOCK_SIZE)
