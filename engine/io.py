@@ -5,25 +5,38 @@ The north rule targets Lance tables; this sandbox has no ``lance`` package
 and silently uses Parquet.  When lance is installed, the same call sites get
 ``ray.data.read_lance`` / ``write_lance`` with no other changes.
 
-Parquet is read ONE RAY READ TASK PER ROW GROUP (``RowGroupParquetDatasource``).
+Parquet is read in PACKED ROW-GROUP TASKS (``RowGroupParquetDatasource``).
 ``ray.data.read_parquet`` plans one read task per file, so a table of a few
 large files reads on a few CPUs however many the cluster has.  To reach its
 200-block read minimum Ray then appends ``SplitBlocks(k)``, which cuts each
 file's output into k slivers AFTER the single task has read it all: the
 downstream check bundles still arrive one file at a time, and a 1-file clips
 table ran its check at a parallelism of ~0.9 on 4 CPUs.  The row-group source
-reads the footers on the driver, plans one task per row group, and passes
-``override_num_blocks`` = the task count so Ray adds no ``SplitBlocks``
+reads the footers on the driver and packs the row groups into
+k = min(G, c * ceil(B / (c * M))) tasks: G row groups, c cluster CPUs,
+B the selected columns' uncompressed bytes and M Ray Data's
+``target_max_block_size``.  So there is a whole number of waves of c tasks,
+a task reads B / k <= M bytes on average, and no task is split below a row
+group (a row-range slice would decode its whole row group).  Row groups go
+largest first to the task holding the fewest rows (Graham's LPT rule), so
+the tasks of a wave end together: 4 x 512 + 4 x 238 rows on 4 CPUs are 4
+tasks of 750 rows, where one task per row group left one worker checking
+1,024 rows and another 476, and each worker idle for Ray Data's
+completion poll (``ray.wait(..., timeout=0.1)`` in 2.49) between its two
+tasks.  A task reads its row groups one at a time, in file order; Ray
+Data's output buffer joins them into blocks of up to M.
+``override_num_blocks`` = the task count, so Ray adds no ``SplitBlocks``
 (without it Ray still splits the row groups into slivers to reach its
 block minimum).
 The row groups are the planning unit because the writer already chose them:
-no new knob, and the task count comes from footer metadata alone.  The
-driver queries read their tables through this seam too
-(``engine.queries._read``), so a one-row-group table is one block, and Ray
-fuses its read with the query's first map.  The clip check
+no new knob, and the task count comes from footer metadata, the cluster
+size and Ray Data's block bound alone.  The driver queries read their
+tables through this seam too (``engine.queries._read``), so a
+one-row-group table is one task, and Ray fuses its read with the query's
+first map.  The clip check
 (``engine.run.validate_clips_dataset``) passes Ray Data no ``batch_size``,
-so it fuses with the read as well: one task reads a row group and checks
-it, and the audio payloads never go through the object store.  Ray does not
+so it fuses with the read as well: one task reads its row groups and checks
+them, and the audio payloads never go through the object store.  Ray does not
 fuse a read with a ``batch_size`` map, whose minimum bundle size could
 merge the read's blocks.
 """
@@ -60,14 +73,39 @@ def _read_row_group(fragment, file_schema, schema):
     return table.select(schema.names)
 
 
+def _read_row_groups(fragments, file_schema, schema):
+    for fragment in fragments:
+        yield _read_row_group(fragment, file_schema, schema)
+
+
+def _pack_longest_first(rows: list[int], k: int) -> list[list[int]]:
+    """Graham's LPT rule: the indices of ``rows``, largest first, each to
+    the bin holding the fewest rows so far (ties: the lower bin, and the
+    earlier index first).  Returns the non-empty bins, each in index order,
+    ordered by their first index: with k >= len(rows), file order."""
+    import heapq
+
+    bins: list[list[int]] = [[] for _ in range(k)]
+    loads = [(0, j) for j in range(k)]
+    for i in sorted(range(len(rows)), key=lambda i: -rows[i]):
+        load, j = heapq.heappop(loads)
+        bins[j].append(i)
+        heapq.heappush(loads, (load + rows[i], j))
+    return sorted(sorted(b) for b in bins if b)
+
+
 class RowGroupParquetDatasource(Datasource):
-    """A parquet file or directory as one read task per row group.
+    """A parquet file or directory as packed row-group read tasks.
 
     Gives the rows and columns of ``ray.data.read_parquet``: hive
     ``key=value`` directories become string columns, which ``columns``
-    prunes like any other.  A table with files but no row groups reads as
-    one empty block that keeps its schema; a directory with no files reads
-    as no blocks.
+    prunes like any other.  The row groups are packed into
+    min(G, c * ceil(B / (c * M))) tasks (module docstring), balanced by
+    rows; the plan is made once, on the first ``num_tasks`` or
+    ``get_read_tasks`` call, from the cluster's CPUs and the current
+    ``DataContext`` at that time.  A table with files but no row groups
+    reads as one empty block that keeps its schema; a directory with no
+    files reads as no blocks.
     """
 
     def __init__(self, path: str, columns: list | None = None) -> None:
@@ -91,9 +129,27 @@ class RowGroupParquetDatasource(Datasource):
         self._schema = schema if columns is None else pa.schema(
             [schema.field(c) for c in columns])
         self._empty = not self._fragments and bool(dataset.files)
+        self._tasks: list[list[int]] | None = None
+
+    def _plan(self) -> list[list[int]]:
+        """The row-group indices of each read task."""
+        if self._tasks is None:
+            import ray
+            from ray.data import DataContext
+
+            if not ray.is_initialized():
+                ray.init()          # as Ray Data's first call would
+            cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+            block = DataContext.get_current().target_max_block_size
+            size = self.estimate_inmemory_data_size()
+            waves = max(1, -(-size // (cpus * block))) if block else 1
+            k = min(len(self._fragments), cpus * waves)
+            self._tasks = _pack_longest_first(
+                [self._metadata(f).num_rows for f in self._fragments], k)
+        return self._tasks
 
     def num_tasks(self) -> int:
-        return len(self._fragments) + self._empty
+        return len(self._plan()) + self._empty
 
     def _metadata(self, fragment) -> BlockMetadata:
         meta = fragment.row_groups[0].metadata
@@ -105,14 +161,21 @@ class RowGroupParquetDatasource(Datasource):
     def estimate_inmemory_data_size(self) -> int:
         return sum(self._metadata(f).size_bytes for f in self._fragments)
 
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+    def _task(self, fragments) -> ReadTask:
         schema, file_schema = self._schema, self._file_schema
+        metas = [self._metadata(f) for f in fragments]
+        files = list(dict.fromkeys(f.path for f in fragments))
+        meta = BlockMetadata(sum(m.num_rows for m in metas),
+                             sum(m.size_bytes for m in metas), None, files)
+        return ReadTask(lambda: _read_row_groups(fragments, file_schema, schema),
+                        meta, schema)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         if self._empty:
+            schema = self._schema
             return [ReadTask(lambda: [schema.empty_table()],
                              BlockMetadata(0, 0, None, None), schema)]
-        return [ReadTask(lambda f=f: [_read_row_group(f, file_schema, schema)],
-                         self._metadata(f), schema)
-                for f in self._fragments]
+        return [self._task([self._fragments[i] for i in task]) for task in self._plan()]
 
 
 def read_table(path: str, *, columns=None, **kwargs):

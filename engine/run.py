@@ -2,7 +2,8 @@
 
 Execution model (north_rule):
 
-  clips (Dataset, streaming blocks: a parquet row group, or a generated block)
+  clips (Dataset, streaming blocks: a read task's packed parquet row groups,
+         or a generated block)
     → clip_check_batch          [task, fused with the read or generation
                                  map: transcript repair + audio check, with
                                  a per-worker-process ClipCheckStage;
@@ -69,9 +70,14 @@ def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None
     The check is a stateless task (``clip_check_batch``) over whole input
     blocks, so Ray Data fuses it with the read or map before it and the
     task maps after it (fk check, sketch partials) into one operator: a
-    parquet row group is read, checked and summarised in one task, audio
-    payloads never cross the object store, and the worker processes, with
-    their per-process stages, are reused across jobs.  ``batch_size`` caps
+    read task's row groups are read, checked and summarised in one task,
+    audio payloads never cross the object store, and the worker processes,
+    with their per-process stages, are reused across jobs.  A parquet input
+    from ``engine.io.read_table`` packs its row groups into a whole number
+    of waves of one balanced task per CPU, so each worker checks about the
+    same rows and goes from one row group to the next inside its task,
+    without waiting for Ray Data to notice a finished task and start the
+    next (``engine.io`` docstring).  ``batch_size`` caps
     the rows one stage call sees; it is not passed to Ray Data, whose
     ``batch_size`` maps do not fuse with the operator before them.
     ``concurrency`` optionally caps the concurrent check tasks (a capped
@@ -89,8 +95,9 @@ def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None
     (128 MB) a task reserves 256 MB, one fits a 768 MB store, and the
     second task started only when the first ended.  At 16 MB a task
     reserves 32 MB, and four fit in half of a 256 MB store.  The bound
-    still holds a check output block whole: the largest 512-clip row group
-    here is 9.3 MiB uncompressed, and the check adds five small columns.
+    still holds a 3,000-clip table's check output block whole: a task's
+    512 + 238 clips are at most 13.6 MiB uncompressed (seed 1731), and the
+    check adds five small columns.
     No bound at all admits the same first wave, but ``python -m engine
     validate --clips 4000`` then took about twice as long (19.3-21.5 s
     against 9.1-11.3 s at 16 MB, on a loaded 4-CPU box).

@@ -779,11 +779,15 @@ def tree_reduce_states(states_ds, combine, *, state_col: str = "state",
     the driver take_all — at 10^12-row scale the driver intake is bounded by
     the threshold, never the block count (round-1 VERDICT finding 3).
 
+    Every merge takes its states sorted by their JSON text, so equal states
+    give equal bits whatever order the tasks returned them in (a float sum
+    depends on its order).
+
     Returns the final merged state dict (None for an empty input).
     ``telemetry`` (tests) receives {"rounds": int, "driver_rows": int}.
     """
     def merge_block(batch: pa.Table) -> pa.Table:
-        states = [json.loads(s) for s in batch.column(state_col).to_pylist()]
+        states = [json.loads(s) for s in sorted(batch.column(state_col).to_pylist())]
         if not states:
             return batch
         return pa.table({state_col: pa.array([json.dumps(combine(states))],
@@ -802,7 +806,7 @@ def tree_reduce_states(states_ds, combine, *, state_col: str = "state",
             zero_copy_batch=True).materialize()
         count = states_ds.count()
         rounds += 1
-    final = [json.loads(r[state_col]) for r in states_ds.take_all()]
+    final = [json.loads(s) for s in sorted(r[state_col] for r in states_ds.take_all())]
     if telemetry is not None:
         telemetry["rounds"] = rounds
         telemetry["driver_rows"] = len(final)

@@ -202,6 +202,40 @@ def test_tree_reduce_states_bounds_driver_intake(ray_session):
     assert tree_reduce_states(empty, combine) is None
 
 
+def test_tree_reduce_states_merge_order_is_content_defined(ray_session):
+    """The same sketch states in shuffled row orders merge to the same bits:
+    the ColumnStats means are float sums, whose last bit depends on their
+    order, so a merge in arrival order drifts between runs."""
+    import ray.data
+
+    from engine.checks.sketches import ColumnStats
+    from engine.stages import tree_reduce_states
+
+    rng = np.random.default_rng(7)
+    states = []
+    for _ in range(40):
+        s = ColumnStats()
+        s.update(rng.normal(694.879, 200.0, size=int(rng.integers(1, 60))))
+        states.append(json.dumps(s.state()))
+
+    def combine(sts):
+        out = ColumnStats()
+        for st in sts:
+            out.merge(ColumnStats.from_state(st))
+        return out.state()
+
+    def merged(order):
+        ds = ray.data.from_arrow(pa.table({"state": pa.array(
+            [states[i] for i in order], pa.large_string())})).repartition(4)
+        return json.dumps(tree_reduce_states(ds, combine))
+
+    orders = [rng.permutation(len(states)) for _ in range(4)]
+    # The orders do reorder the float sums: merged as given, they differ.
+    assert len({json.dumps(combine([json.loads(states[i]) for i in o]))
+                for o in orders}) > 1
+    assert len({merged(o) for o in orders}) == 1
+
+
 def test_fk_orphans_semijoin(ray_session):
     import pyarrow as pa
     import ray.data

@@ -268,24 +268,56 @@ def test_row_group_reader_empty_inputs_match_read_parquet(ray_session, tmp_path)
     assert read_table(zero, columns=["n"]).schema().names == ["n"]
 
 
-def test_row_group_reader_plans_one_task_per_row_group(ray_session, tmp_path):
-    """One file of 8 row groups executes 8 read tasks into 8 blocks.  The
-    table (~16 MB) is large enough that Ray's block-count autodetection
-    would otherwise ask for more blocks and append SplitBlocks."""
+def test_row_group_reader_packs_row_groups_into_one_task_per_cpu(ray_session, tmp_path):
+    """4 x 512 + 4 x 238 row groups, in alternating file order, on 4 CPUs
+    plan 4 read tasks of 512 + 238 rows (largest first to the task holding
+    the fewest rows), and no SplitBlocks; Ray Data's output buffer joins a
+    task's two row groups into one block.  One task per row group ran them
+    in file order, so one worker read 1,024 rows and another 476.  A
+    one-row-group table plans one task."""
     import re
 
     import pyarrow.parquet as pq
+    import ray
 
-    from engine.io import read_table
+    from engine.io import RowGroupParquetDatasource, read_table
 
-    pq.write_table(_keyed_table(0, 8000, payload=2048), str(tmp_path / "t.parquet"),
-                   row_group_size=1000)
-    assert pq.ParquetFile(str(tmp_path / "t.parquet")).metadata.num_row_groups == 8
-    ds = read_table(str(tmp_path)).materialize()
+    assert ray.cluster_resources()["CPU"] == 4
+    path = str(tmp_path / "t.parquet")
+    with pq.ParquetWriter(path, _keyed_table(0, 0).schema) as w:
+        start = 0
+        for n in [512, 238] * 4:
+            w.write_table(_keyed_table(start, n, payload=2048), row_group_size=n)
+            start += n
+    assert [pq.ParquetFile(path).metadata.row_group(i).num_rows for i in range(8)] \
+        == [512, 238] * 4
+    source = RowGroupParquetDatasource(path)
+    assert source.num_tasks() == 4
+    tasks = source.get_read_tasks(4)
+    assert [t.metadata.num_rows for t in tasks] == [750] * 4
+    ds = read_table(path).materialize()
     stats = ds.stats()
     assert "SplitBlocks" not in stats, stats
-    assert re.search(r"ReadRowGroupParquet: 8 tasks executed, 8 blocks produced", stats), stats
-    assert ds.count() == 8000
+    assert re.search(r"ReadRowGroupParquet: 4 tasks executed, 4 blocks produced", stats), stats
+    assert [b.num_rows for b in ray.get(ds.to_arrow_refs())] == [750] * 4
+    assert _sorted(ds).equals(_sorted(pq.read_table(path)))
+
+    pq.write_table(_keyed_table(0, 3000, payload=2048), str(tmp_path / "one.parquet"))
+    assert RowGroupParquetDatasource(str(tmp_path / "one.parquet")).num_tasks() == 1
+
+
+def test_pack_longest_first_balances_rows():
+    """LPT: each index goes, largest first, to the bin with the fewest rows;
+    a bin lists its indices in file order, the bins come in the order of
+    their first index, and no bin is empty."""
+    from engine.io import _pack_longest_first
+
+    assert _pack_longest_first([512, 238] * 4, 4) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert _pack_longest_first([512, 238] * 4, 1) == [list(range(8))]
+    assert _pack_longest_first([5, 4, 3, 3, 3], 2) == [[0, 3], [1, 2, 4]]
+    assert _pack_longest_first([7, 1], 4) == [[0], [1]]
+    assert _pack_longest_first([1, 2, 2, 2], 4) == [[0], [1], [2], [3]]
+    assert _pack_longest_first([], 3) == []
 
 
 def test_row_group_reader_resolves_relative_paths(ray_session, tmp_path, monkeypatch):

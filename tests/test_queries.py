@@ -1287,3 +1287,44 @@ def test_user_order_activity_one_sided_empty(ray_session, tmp_path):
     assert out["key"].tolist() == [4]
     assert out["n_orders"].tolist() == [2]
     assert out["n_events"].tolist() == [0] and out["in_events"].tolist() == [0]
+
+
+# Ray Data executions (StreamingExecutor.execute calls) one call of each
+# query_mix query starts, its output consumed as perfbench consumes it.  A
+# query's shuffle or broadcast steps outside Ray Data (stages.exchange's
+# tasks, group_aggregate's combines) start none.
+QUERY_MIX_EXECUTIONS = {
+    "q1_pricing_summary": 1,
+    "grouped_stats_orderpriority": 1,
+    "events_daily_by_type": 1,
+    "dedup_exact_documents": 2,
+    "orders_row_number": 2,
+    "revenue_by_segment_day": 3,
+    "repair_extract_events": 1,
+    "profile_events": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_MIX_EXECUTIONS))
+def test_query_mix_executions_per_call(ray_session, monkeypatch, name):
+    """Each query_mix query starts a pinned number of Ray Data executions
+    per call on the sf0.001 tables (one-row-group tables, so one read task
+    each): a change that adds an execution to a judged query fails here."""
+    import __ray_entry__ as entrymod
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    execute = StreamingExecutor.execute
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    query = entrymod.queries()[name]
+    for _ in range(2):
+        calls.clear()
+        out = query(SF_DIR)
+        if not isinstance(out, pa.Table):
+            out.materialize()
+        assert len(calls) == QUERY_MIX_EXECUTIONS[name], name
