@@ -166,13 +166,16 @@ def _table(columns: list[str], kinds: list[str], stats: list[list],
 def profile_table(ds, columns: list[str]) -> pa.Table:
     """Profile ``columns`` of ``ds``: one output row per column with
     n_rows, n_nulls, n_distinct (exact), min_repr, max_repr (col_name keys the row)."""
-    from engine.stages import exchange
+    import ray
+
+    from engine.stages import exchange_parts
 
     kinds = _kinds(ds, columns)
     keys = ds.map_batches(functools.partial(_typed_keys, columns, kinds),
                           batch_format="pyarrow", zero_copy_batch=True)
-    parts = exchange(keys, ["c", "i", "s"], functools.partial(_profile_part, kinds),
-                     _PART_SCHEMA).take_all()   # <= parts x columns rows
+    refs = exchange_parts(keys, ["c", "i", "s"], functools.partial(_profile_part, kinds),
+                          _PART_SCHEMA)
+    parts = [r for t in ray.get(refs) for r in t.to_pylist()]   # <= parts x columns rows
 
     def column(ci: int, kind: str) -> list:
         rs = [r for r in parts if r["c"] == ci]

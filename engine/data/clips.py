@@ -265,9 +265,10 @@ def cached_clips_dataset(n_clips: int, *, seed: int = 42,
     temp dir then atomically renamed, so concurrent callers never see a
     partial table.  The read goes through the storage seam
     (``engine.io.read_table``), the ingest path production uses: row
-    groups packed into balanced read tasks, so a table of ~2000-row files
-    still feeds every CPU (``ray.data.read_parquet`` would read each file in
-    one task).  Pass
+    groups packed into balanced read tasks, or cut into row ranges when
+    there are fewer row groups than CPUs, so a table of ~2000-row files and
+    the one-row-group 128-clip warm-up table both feed every CPU
+    (``ray.data.read_parquet`` would read each file in one task).  Pass
     ``columns`` to prune at the read (a metadata-only query must not ship
     audio bytes).
     """

@@ -12,33 +12,43 @@ large files reads on a few CPUs however many the cluster has.  To reach its
 file's output into k slivers AFTER the single task has read it all: the
 downstream check bundles still arrive one file at a time, and a 1-file clips
 table ran its check at a parallelism of ~0.9 on 4 CPUs.  The row-group source
-reads the footers on the driver and packs the row groups into
-k = min(G, c * ceil(B / (c * M))) tasks: G row groups, c cluster CPUs,
-B the selected columns' uncompressed bytes and M Ray Data's
-``target_max_block_size``.  So there is a whole number of waves of c tasks,
-a task reads B / k <= M bytes on average, and no task is split below a row
-group (a row-range slice would decode its whole row group).  Row groups go
-largest first to the task holding the fewest rows (Graham's LPT rule), so
-the tasks of a wave end together: 4 x 512 + 4 x 238 rows on 4 CPUs are 4
-tasks of 750 rows, where one task per row group left one worker checking
-1,024 rows and another 476, and each worker idle for Ray Data's
-completion poll (``ray.wait(..., timeout=0.1)`` in 2.49) between its two
-tasks.  A task reads its row groups one at a time, in file order; Ray
-Data's output buffer joins them into blocks of up to M.
-``override_num_blocks`` = the task count, so Ray adds no ``SplitBlocks``
-(without it Ray still splits the row groups into slivers to reach its
-block minimum).
-The row groups are the planning unit because the writer already chose them:
-no new knob, and the task count comes from footer metadata, the cluster
-size and Ray Data's block bound alone.  The driver queries read their
-tables through this seam too (``engine.queries._read``), so a
-one-row-group table is one task, and Ray fuses its read with the query's
-first map.  The clip check
-(``engine.run.validate_clips_dataset``) passes Ray Data no ``batch_size``,
-so it fuses with the read as well: one task reads its row groups and checks
-them, and the audio payloads never go through the object store.  Ray does not
-fuse a read with a ``batch_size`` map, whose minimum bundle size could
-merge the read's blocks.
+reads the footers on the driver and plans
+k = min(R, c * ceil(B / (c * M))) tasks: R rows (G, the row groups, if
+empty row groups make that more), c cluster CPUs, B the selected columns'
+uncompressed bytes and M Ray Data's ``target_max_block_size``.  So there
+is a whole number of waves of c tasks (fewer only for a table of few
+rows), and a task reads B / k <= M bytes on average.
+- k <= G row groups: whole row groups go largest first to the task holding
+  the fewest rows (Graham's LPT rule), so the tasks of a wave end together:
+  4 x 512 + 4 x 238 rows on 4 CPUs are 4 tasks of 750 rows, where one task
+  per row group left one worker checking 1,024 rows and another 476, and
+  each worker idle for Ray Data's completion poll
+  (``ray.wait(..., timeout=0.1)`` in 2.49) between its two tasks.
+- k > G: each row group is cut into contiguous row ranges, a row group's
+  count in proportion to its rows (each further range to the row group
+  with the most rows per range), and the ranges are packed by the same
+  rule, one per task.  A row group of r rows cut n ways is ranges of
+  ceil(r / n) rows, which the decoder's batches of that size end on
+  (5 rows cut 4 ways are 2 + 2 + 1).  A one-row-group table of 3,000
+  rows on 4 CPUs is 4 tasks of 750 rows, where it was one task on one
+  CPU: the 128-clip warm-up of a clips session warmed one worker, and
+  the first timed job started three cold.  A range task decodes its row
+  group from the start and stops at the range's end (``_read_range``):
+  cutting a row group k ways decodes about (k + 1) / 2 row groups in all,
+  over k CPUs.
+A task reads its units one at a time, in file order; Ray Data's output
+buffer joins them into blocks of up to M.  ``override_num_blocks`` = the
+task count, so Ray adds no ``SplitBlocks`` (without it Ray still splits the
+row groups into slivers to reach its block minimum).
+The plan adds no knob: the task count comes from footer metadata, the
+cluster size and Ray Data's block bound alone.  The driver queries read
+their tables through this seam too (``engine.queries._read``), so a
+one-row-group table reads on every CPU, and Ray fuses its read with the
+query's first map.  The clip check (``engine.run.validate_clips_dataset``)
+passes Ray Data no ``batch_size``, so it fuses with the read as well: one
+task reads its rows and checks them, and the audio payloads never go
+through the object store.  Ray does not fuse a read with a ``batch_size``
+map, whose minimum bundle size could merge the read's blocks.
 """
 
 from __future__ import annotations
@@ -62,20 +72,70 @@ def have_lance() -> bool:
 _hive = PathPartitionParser(Partitioning("hive"))
 
 
-def _read_row_group(fragment, file_schema, schema):
+def _read_range(fragment, file_schema, names, part, step):
+    """Rows [part * step, (part + 1) * step) of a one-row-group fragment,
+    in the types of ``file_schema`` (a column the file lacks is NULL, as
+    the dataset scanner gives it).  Batches of ``step`` rows are decoded
+    from the row group's start and dropped up to the range, and the read
+    stops at its end, so a range that ends at row e decodes e rows, not the
+    whole row group.  The buffered stream stops the file reads there too:
+    unbuffered, pyarrow reads each whole column chunk first (the first
+    quarter of a 60 MB row group took 0.061 s unbuffered, 0.014 s
+    buffered, and the whole row group 0.081 s)."""
+    import itertools
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    with fragment.filesystem.open_input_file(fragment.path) as f:
+        pf = pq.ParquetFile(f, buffer_size=1 << 20)
+        have = [c for c in names if c in pf.schema_arrow.names]
+        batches = pf.iter_batches(step, row_groups=[fragment.row_groups[0].id],
+                                  columns=have)
+        table = pa.Table.from_batches([next(itertools.islice(batches, part, None))])
+    for c in names:
+        if c not in have:
+            table = table.append_column(c, pa.nulls(table.num_rows, file_schema.field(c).type))
+    table, types = table.select(names), pa.schema([file_schema.field(c) for c in names])
+    return table if table.schema.equals(types) else table.cast(types)
+
+
+def _read_rows(fragment, file_schema, schema, part, step):
+    """Rows [part * step, (part + 1) * step) of a one-row-group fragment,
+    with its hive columns, as ``schema``."""
     import pyarrow as pa
 
-    table = fragment.to_table(schema=file_schema,
-                              columns=[c for c in schema.names if c in file_schema.names])
+    names = [c for c in schema.names if c in file_schema.names]
+    if part == 0 and step >= fragment.row_groups[0].num_rows:
+        table = fragment.to_table(schema=file_schema, columns=names)
+    else:
+        table = _read_range(fragment, file_schema, names, part, step)
     for key, value in _hive(fragment.path).items():
         if key in schema.names and key not in table.column_names:
             table = table.append_column(key, pa.array([value] * table.num_rows, pa.string()))
     return table.select(schema.names)
 
 
-def _read_row_groups(fragments, file_schema, schema):
-    for fragment in fragments:
-        yield _read_row_group(fragment, file_schema, schema)
+def _read_units(units, file_schema, schema):
+    for fragment, part, step in units:
+        yield _read_rows(fragment, file_schema, schema, part, step)
+
+
+def _cuts(rows: list[int], k: int) -> list[int]:
+    """Ranges per row group for k >= len(rows) ranges in all: one each,
+    then each further range to the row group with the most rows per range
+    (ties: the earlier one), which makes the largest range as small as k
+    contiguous ranges allow."""
+    import heapq
+
+    n = [1] * len(rows)
+    heap = [(-r, g) for g, r in enumerate(rows)]
+    heapq.heapify(heap)
+    for _ in range(k - len(rows)):
+        _, g = heapq.heappop(heap)
+        n[g] += 1
+        heapq.heappush(heap, (-rows[g] / n[g], g))
+    return n
 
 
 def _pack_longest_first(rows: list[int], k: int) -> list[list[int]]:
@@ -99,13 +159,16 @@ class RowGroupParquetDatasource(Datasource):
 
     Gives the rows and columns of ``ray.data.read_parquet``: hive
     ``key=value`` directories become string columns, which ``columns``
-    prunes like any other.  The row groups are packed into
-    min(G, c * ceil(B / (c * M))) tasks (module docstring), balanced by
-    rows; the plan is made once, on the first ``num_tasks`` or
-    ``get_read_tasks`` call, from the cluster's CPUs and the current
-    ``DataContext`` at that time.  A table with files but no row groups
-    reads as one empty block that keeps its schema; a directory with no
-    files reads as no blocks.
+    prunes like any other.  The plan has k = min(R, c * ceil(B / (c * M)))
+    tasks (module docstring), balanced by rows: whole row groups packed
+    when k <= G, else each row group cut into contiguous row ranges, one
+    range per task (a row group cut k ways decodes about (k + 1) / 2 row
+    groups in all).  A range task's metadata gives its own rows, and its
+    row group's bytes in proportion.  The plan is made once, on the first
+    ``num_tasks`` or ``get_read_tasks`` call, from the cluster's CPUs and
+    the current ``DataContext`` at that time.  A table with files but no
+    row groups reads as one empty block that keeps its schema; a directory
+    with no files reads as no blocks.
     """
 
     def __init__(self, path: str, columns: list | None = None) -> None:
@@ -129,10 +192,11 @@ class RowGroupParquetDatasource(Datasource):
         self._schema = schema if columns is None else pa.schema(
             [schema.field(c) for c in columns])
         self._empty = not self._fragments and bool(dataset.files)
-        self._tasks: list[list[int]] | None = None
+        self._tasks: list[list[tuple[int, int, int]]] | None = None
 
-    def _plan(self) -> list[list[int]]:
-        """The row-group indices of each read task."""
+    def _plan(self) -> list[list[tuple[int, int, int]]]:
+        """Each read task's units (row group index, part, step): the rows
+        [part * step, (part + 1) * step) of that row group."""
         if self._tasks is None:
             import ray
             from ray.data import DataContext
@@ -143,9 +207,16 @@ class RowGroupParquetDatasource(Datasource):
             block = DataContext.get_current().target_max_block_size
             size = self.estimate_inmemory_data_size()
             waves = max(1, -(-size // (cpus * block))) if block else 1
-            k = min(len(self._fragments), cpus * waves)
-            self._tasks = _pack_longest_first(
-                [self._metadata(f).num_rows for f in self._fragments], k)
+            rows = [self._metadata(f).num_rows for f in self._fragments]
+            k = min(max(sum(rows), len(rows)), cpus * waves)
+            if k <= len(rows):
+                units = [(g, 0, r) for g, r in enumerate(rows)]
+            else:
+                steps = [max(1, -(-r // n)) for r, n in zip(rows, _cuts(rows, k))]
+                units = [(g, part, step) for g, step in enumerate(steps)
+                         for part in range(-(-rows[g] // step))]
+            self._tasks = [[units[i] for i in task] for task in _pack_longest_first(
+                [self._unit_metadata(u).num_rows for u in units], k)]
         return self._tasks
 
     def num_tasks(self) -> int:
@@ -158,24 +229,32 @@ class RowGroupParquetDatasource(Datasource):
                    if c.path_in_schema.split(".")[0] in self._schema.names)
         return BlockMetadata(meta.num_rows, size, None, [fragment.path])
 
+    def _unit_metadata(self, unit) -> BlockMetadata:
+        """A unit's rows, and its row group's bytes in proportion."""
+        g, part, step = unit
+        meta = self._metadata(self._fragments[g])
+        rows = min(meta.num_rows - part * step, step)
+        size = meta.size_bytes * rows // meta.num_rows if rows < meta.num_rows else meta.size_bytes
+        return BlockMetadata(rows, size, None, meta.input_files)
+
     def estimate_inmemory_data_size(self) -> int:
         return sum(self._metadata(f).size_bytes for f in self._fragments)
 
-    def _task(self, fragments) -> ReadTask:
+    def _task(self, units) -> ReadTask:
         schema, file_schema = self._schema, self._file_schema
-        metas = [self._metadata(f) for f in fragments]
-        files = list(dict.fromkeys(f.path for f in fragments))
+        metas = [self._unit_metadata(u) for u in units]
+        reads = [(self._fragments[g], part, step) for g, part, step in units]
+        files = list(dict.fromkeys(f.path for f, _, _ in reads))
         meta = BlockMetadata(sum(m.num_rows for m in metas),
                              sum(m.size_bytes for m in metas), None, files)
-        return ReadTask(lambda: _read_row_groups(fragments, file_schema, schema),
-                        meta, schema)
+        return ReadTask(lambda: _read_units(reads, file_schema, schema), meta, schema)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         if self._empty:
             schema = self._schema
             return [ReadTask(lambda: [schema.empty_table()],
                              BlockMetadata(0, 0, None, None), schema)]
-        return [self._task([self._fragments[i] for i in task]) for task in self._plan()]
+        return [self._task(task) for task in self._plan()]
 
 
 def read_table(path: str, *, columns=None, **kwargs):

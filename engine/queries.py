@@ -57,7 +57,8 @@ def _half_away_cents(x: np.ndarray, scale: float = 100.0) -> np.ndarray:
 
 def _read(sf_dir: str, table: str, columns=None):
     """A driver table through the ``engine.io.read_table`` seam: its row groups
-    packed into read tasks, one task for a one-row-group table."""
+    packed into read tasks, or cut into row ranges when it has fewer row
+    groups than CPUs, so a one-row-group table reads on every CPU."""
     from engine.io import read_table
 
     return read_table(f"{sf_dir}/{table}.parquet", columns=columns)

@@ -73,11 +73,13 @@ def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None
     read task's row groups are read, checked and summarised in one task,
     audio payloads never cross the object store, and the worker processes,
     with their per-process stages, are reused across jobs.  A parquet input
-    from ``engine.io.read_table`` packs its row groups into a whole number
-    of waves of one balanced task per CPU, so each worker checks about the
-    same rows and goes from one row group to the next inside its task,
-    without waiting for Ray Data to notice a finished task and start the
-    next (``engine.io`` docstring).  ``batch_size`` caps
+    from ``engine.io.read_table`` plans a whole number of waves of one
+    balanced task per CPU: whole row groups packed, so each worker checks
+    about the same rows and goes from one row group to the next inside its
+    task, without waiting for Ray Data to notice a finished task and start
+    the next; or, for fewer row groups than CPUs, row ranges, so a
+    one-row-group table (a session's 128-clip warm-up) is checked, and
+    warms a worker, on every CPU (``engine.io`` docstring).  ``batch_size`` caps
     the rows one stage call sees; it is not passed to Ray Data, whose
     ``batch_size`` maps do not fuse with the operator before them.
     ``concurrency`` optionally caps the concurrent check tasks (a capped

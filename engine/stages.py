@@ -971,32 +971,39 @@ def sorted_or_empty(out, sort, schema: pa.Schema):
     return out if out.count() else schema.empty_table()
 
 
-def exchange(ds, keys: list[str], fn, schema: pa.Schema, sort=None, *,
-             telemetry: dict | None = None):
+def exchange_parts(ds, keys: list[str], fn, schema: pa.Schema, *,
+                   telemetry: dict | None = None) -> list:
     """Hash exchange over plain Ray tasks: every row of ``ds`` with the same
     ``keys`` reaches one part, and ``fn(part)`` runs once per part on the
     rows of a whole set of keys; its columns are selected by name and cast
     to ``schema``.  NULL keys share a part, so ``fn`` sees SQL's NULL
-    group whole.
+    group whole.  Returns the refs of the n part tables, n the cluster's
+    CPUs; ``ray.get`` on them raises an error of ``fn``.
 
-    There are n parts, n the cluster's CPUs.  A split task per bundle of
-    blocks (see :func:`_bundles`) returns one slice per part, and one
-    reduce task per part concatenates its slices and runs ``fn``; the driver
-    holds only refs, so no row reaches it; Ray's sort-based ``groupby``
-    moves the same rows through more tasks and objects.  The result is a
-    Dataset of the reduce outputs, built
-    eagerly, so an error of ``fn`` raises here; ``sort`` is applied by
-    :func:`sorted_or_empty`.  ``telemetry`` (tests) receives the part,
-    split-task and object counts and the rows that reached the driver.
+    A split task per bundle of blocks (see :func:`_bundles`) returns one
+    slice per part, and one reduce task per part concatenates its slices
+    and runs ``fn``; the driver holds only refs, so no row reaches it; Ray's
+    sort-based ``groupby`` moves the same rows through more tasks and
+    objects.  Materializing ``ds`` is the one Ray Data execution.
+    ``telemetry`` (tests) receives the part, split-task and object counts
+    and the rows that reached the driver.
     """
     n = max(1, int(ray.cluster_resources().get("CPU", 1)))
     bundles = _bundles(ds.materialize().to_arrow_refs(), n)
     splits = _split_tasks(n, bundles, keys)
-    parts = [_exchange_reduce_task.remote(fn, schema, *(s[p] for s in splits))
-             for p in range(n)]
     if telemetry is not None:
         telemetry.update(parts=n, splits=len(splits),
                          objects=len(splits) * n, driver_rows=0)
+    return [_exchange_reduce_task.remote(fn, schema, *(s[p] for s in splits))
+            for p in range(n)]
+
+
+def exchange(ds, keys: list[str], fn, schema: pa.Schema, sort=None, *,
+             telemetry: dict | None = None):
+    """:func:`exchange_parts` as a Dataset of its parts, built eagerly, so
+    an error of ``fn`` raises here; ``sort`` is applied by
+    :func:`sorted_or_empty`."""
+    parts = exchange_parts(ds, keys, fn, schema, telemetry=telemetry)
     return sorted_or_empty(ray.data.from_arrow_refs(parts), sort, schema)
 
 

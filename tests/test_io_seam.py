@@ -274,7 +274,8 @@ def test_row_group_reader_packs_row_groups_into_one_task_per_cpu(ray_session, tm
     the fewest rows), and no SplitBlocks; Ray Data's output buffer joins a
     task's two row groups into one block.  One task per row group ran them
     in file order, so one worker read 1,024 rows and another 476.  A
-    one-row-group table plans one task."""
+    one-row-group table is cut into row ranges, one task per CPU (see
+    test_row_group_reader_cuts_a_row_group_into_row_range_tasks)."""
     import re
 
     import pyarrow.parquet as pq
@@ -303,7 +304,7 @@ def test_row_group_reader_packs_row_groups_into_one_task_per_cpu(ray_session, tm
     assert _sorted(ds).equals(_sorted(pq.read_table(path)))
 
     pq.write_table(_keyed_table(0, 3000, payload=2048), str(tmp_path / "one.parquet"))
-    assert RowGroupParquetDatasource(str(tmp_path / "one.parquet")).num_tasks() == 1
+    assert RowGroupParquetDatasource(str(tmp_path / "one.parquet")).num_tasks() == 4
 
 
 def test_pack_longest_first_balances_rows():
@@ -333,11 +334,12 @@ def test_row_group_reader_resolves_relative_paths(ray_session, tmp_path, monkeyp
     assert len(read_table("rel").take_all()) == 50
 
 
-@pytest.mark.parametrize("n,row_group_size,tasks", [(7, None, 1), (50, 20, 3)])
-def test_driver_query_read_plans_one_task_per_row_group(ray_session, tmp_path,
-                                                        n, row_group_size, tasks):
-    """``engine.queries._read`` reads through the seam: one read task and
-    one block per row group, and no SplitBlocks slivers (which cut a 7-row,
+@pytest.mark.parametrize("n,row_group_size,row_groups", [(7, None, 1), (50, 20, 3)])
+def test_driver_query_read_plans_one_task_per_cpu(ray_session, tmp_path,
+                                                  n, row_group_size, row_groups):
+    """``engine.queries._read`` reads through the seam: a table of fewer
+    row groups than CPUs is cut into row ranges, one read task and one
+    block per CPU, and no SplitBlocks slivers (which cut a 7-row,
     one-row-group table into 8 blocks)."""
     import re
 
@@ -347,10 +349,130 @@ def test_driver_query_read_plans_one_task_per_row_group(ray_session, tmp_path,
 
     pq.write_table(_keyed_table(0, n), str(tmp_path / "events.parquet"),
                    row_group_size=row_group_size)
-    assert pq.ParquetFile(str(tmp_path / "events.parquet")).metadata.num_row_groups == tasks
+    assert pq.ParquetFile(str(tmp_path / "events.parquet")).metadata.num_row_groups \
+        == row_groups
     ds = _read(str(tmp_path), "events", columns=["n"])
-    assert len(ds.to_arrow_refs()) == tasks
+    assert len(ds.to_arrow_refs()) == 4
     stats = ds.materialize().stats()
     assert "SplitBlocks" not in stats, stats
-    assert re.search(rf"ReadRowGroupParquet: {tasks} tasks executed, {tasks} blocks produced",
+    assert re.search(r"ReadRowGroupParquet: 4 tasks executed, 4 blocks produced",
                      stats), stats
+    assert sorted(ds.to_pandas()["n"]) == list(range(n))
+
+
+def _in_task_order(source) -> pa.Table:
+    """The rows of ``source``'s read tasks, run here, in task order."""
+    return pa.concat_tables([b for task in source.get_read_tasks(4) for b in task()])
+
+
+def test_row_group_reader_cuts_a_row_group_into_row_range_tasks(ray_session, tmp_path):
+    """A table of fewer row groups than CPUs reads on every CPU: a 3,000-row,
+    one-row-group file on 4 CPUs plans 4 row-range tasks of 750 rows, with
+    no SplitBlocks, and its tasks give pyarrow's rows in order; a 3-row
+    file plans 3 tasks of one row."""
+    import re
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from engine.io import RowGroupParquetDatasource, read_table
+
+    assert ray.cluster_resources()["CPU"] == 4
+    for n, tasks in ((3000, [750] * 4), (3, [1] * 3)):
+        path = str(tmp_path / f"t{n}.parquet")
+        pq.write_table(_keyed_table(0, n, payload=2048), path)
+        assert pq.ParquetFile(path).metadata.num_row_groups == 1
+        source = RowGroupParquetDatasource(path)
+        assert source.num_tasks() == len(tasks), n
+        assert [t.metadata.num_rows for t in source.get_read_tasks(4)] == tasks, n
+        assert _in_task_order(source).equals(pq.read_table(path)), n
+        ds = read_table(path).materialize()
+        stats = ds.stats()
+        assert "SplitBlocks" not in stats, stats
+        assert re.search(rf"ReadRowGroupParquet: {len(tasks)} tasks executed, "
+                         rf"{len(tasks)} blocks produced", stats), stats
+        assert _sorted(ds).equals(_sorted(pq.read_table(path))), n
+
+
+def test_row_range_task_decodes_its_row_group_only_to_the_range_end(monkeypatch, tmp_path):
+    """The first of 4 ranges of a 3,000-row row group decodes 750 rows, not
+    the row group: the range is not a slice of the whole row group."""
+    import pyarrow.parquet as pq
+
+    from engine import io
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(_keyed_table(0, 3000), path)
+    decoded = []
+    iter_batches = pq.ParquetFile.iter_batches
+
+    def counted(self, *args, **kwargs):
+        for batch in iter_batches(self, *args, **kwargs):
+            decoded.append(batch.num_rows)
+            yield batch
+
+    monkeypatch.setattr(pq.ParquetFile, "iter_batches", counted)
+    source = io.RowGroupParquetDatasource(path, ["clip_id", "n"])
+    source._tasks = [[(0, part, 750)] for part in range(4)]   # the plan on 4 CPUs
+    first, *_, last = source.get_read_tasks(4)
+    assert [b.num_rows for b in first()] == [750] and decoded == [750]
+    decoded.clear()
+    assert [b.num_rows for b in last()] == [750] and decoded == [750] * 4
+    assert _in_task_order(source).equals(pq.read_table(path, columns=["clip_id", "n"]))
+
+
+def test_row_range_tasks_keep_hive_columns_and_pruning(ray_session, tmp_path):
+    """Range tasks of one-row-group ``part=K/`` files give the columns, types
+    and rows that ray.data.read_parquet gives, with and without column
+    pruning, a hive-column-only read included."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from engine.io import RowGroupParquetDatasource, read_table
+
+    root = tmp_path / "verdicts"
+    for part, (start, n) in enumerate([(0, 300), (300, 120)]):
+        (root / f"part={part}").mkdir(parents=True)
+        pq.write_table(_keyed_table(start, n), str(root / f"part={part}" / "a.parquet"))
+    assert RowGroupParquetDatasource(str(root)).num_tasks() == 4
+    for columns in (None, ["clip_id"], ["clip_id", "part"], ["part", "n"], ["part"]):
+        got = read_table(str(root), columns=columns)
+        want = ray.data.read_parquet(str(root), columns=columns)
+        assert got.schema() == want.schema(), columns
+        assert got.count() == 420, columns
+        if "clip_id" in got.schema().names:
+            assert _sorted(got).equals(_sorted(want).select(got.schema().names)), columns
+    assert set(read_table(str(root), columns=["part"]).unique("part")) == {"0", "1"}
+
+
+def test_row_range_tasks_read_files_of_an_evolved_schema(tmp_path):
+    """Range tasks of a file that lacks a column of the dataset's schema, or
+    holds it in a narrower type, give the rows the dataset scanner gives:
+    the missing column NULL, the narrow one cast."""
+    import pyarrow.dataset as pds
+    import pyarrow.parquet as pq
+
+    from engine.io import RowGroupParquetDatasource
+
+    pq.write_table(pa.table({"k": [f"a{i}" for i in range(10)],
+                             "n": pa.array(range(10), pa.int64()), "x": [1.5] * 10}),
+                   str(tmp_path / "a.parquet"))
+    pq.write_table(pa.table({"k": [f"b{i}" for i in range(10)],
+                             "n": pa.array(range(10), pa.int32())}),
+                   str(tmp_path / "b.parquet"))
+    source = RowGroupParquetDatasource(str(tmp_path))
+    source._tasks = [[(0, 0, 5)], [(0, 1, 5)], [(1, 0, 5)], [(1, 1, 5)]]
+    assert _in_task_order(source).equals(pds.dataset(str(tmp_path)).to_table())
+
+
+def test_cuts_gives_the_next_range_to_the_most_rows_per_range():
+    """Ranges per row group: one each, then each further range to the row
+    group with the most rows per range, so the largest range is as small
+    as k ranges allow."""
+    from engine.io import _cuts
+
+    assert _cuts([3000], 4) == [4]
+    assert _cuts([3], 3) == [3]
+    assert _cuts([20, 20, 10], 4) == [2, 1, 1]
+    assert _cuts([512, 238], 4) == [3, 1]
+    assert _cuts([512, 238], 2) == [1, 1]

@@ -357,6 +357,44 @@ def test_clip_check_fuses_with_the_row_group_read(ray_session, tmp_path):
     assert not re.search(r"ReadRowGroupParquet: ", stats), stats
 
 
+def test_clip_check_reads_a_one_row_group_table_on_every_cpu(ray_session, tmp_path):
+    """A 128-clip clips table (a clips_validate session's warm-up) is one
+    row group.  Its check plans as one fused read-and-check operator of 4
+    row-range tasks, which run in 4 worker processes, so every worker is
+    warm before the first timed job; the verdicts equal, row for row, one
+    check over the same rows."""
+    import glob
+    import os
+    import re
+
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from engine.data.clips import cached_clips_dataset
+    from engine.run import validate_clips_dataset
+    from engine.stages import clip_check_batch
+
+    ds = cached_clips_dataset(128, seed=1731, cache_root=str(tmp_path))
+    [path] = glob.glob(str(tmp_path / "*" / "*.parquet"))
+    assert pq.ParquetFile(path).metadata.num_row_groups == 1
+
+    def with_pid(t: pa.Table) -> pa.Table:
+        return t.append_column("pid", pa.array([os.getpid()] * t.num_rows, pa.int64()))
+
+    checked = validate_clips_dataset(ds, batch_size=32).map_batches(
+        with_pid, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    stats = checked.stats()
+    assert re.search(r"ReadRowGroupParquet->MapBatches\(clip_check_batch\)"
+                     r"->MapBatches\(with_pid\): 4 tasks executed", stats), stats
+    got = pa.concat_tables(ray.get(checked.to_arrow_refs())).sort_by("clip_id")
+    assert len(set(got.column("pid").to_pylist())) == 4
+    want = clip_check_batch(pq.read_table(path), max_rows=32).sort_by("clip_id")
+    assert got.num_rows == 128
+    pd.testing.assert_frame_equal(got.drop_columns(["pid"]).to_pandas(), want.to_pandas())
+
+
 def test_clip_check_admits_one_task_per_cpu_before_its_first_output(ray_session, tmp_path):
     """Until a task has returned an output, Ray Data reserves object store
     for it from its block bound, and the executor's budget is half the

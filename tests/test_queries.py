@@ -1301,7 +1301,7 @@ QUERY_MIX_EXECUTIONS = {
     "orders_row_number": 2,
     "revenue_by_segment_day": 3,
     "repair_extract_events": 1,
-    "profile_events": 2,
+    "profile_events": 1,
 }
 
 

@@ -1,4 +1,4 @@
-"""Per-task timeline of the clip check in warm clips_validate jobs.
+"""Per-task timeline of the clip check in clips_validate jobs.
 
 Wraps ``clip_check_batch`` as ``engine.run`` sees it (the name is kept, so
 the check still fuses with the read), runs the ``clips_validate`` job of
@@ -11,9 +11,13 @@ kept busy on average.
     PYTHONPATH=. python tools/clip_task_timeline.py [--clips 3000] [--seed 1731] [--jobs 5]
 
 Ray starts as ``perfbench`` starts it (4 CPUs, a 768 MB object store).
-Before the reported jobs, one 128-clip job and one job of ``--clips`` warm
-the worker processes up; they are not reported.  The table is cached
-under ``.bench_build/timeline`` (git-ignored).
+A 128-clip job warms the worker processes up, as ``perfbench``'s warm-up
+does; it is not reported.  The first job of ``--clips`` after it is
+reported apart: its wall against the warm jobs' median, and its tasks,
+each marked ``cold`` when its worker ran no task of the warm-up.  A first
+job well above the warm median, with cold workers, is a cold start that
+the warm-up did not absorb.  The table is cached under
+``.bench_build/timeline`` (git-ignored).
 """
 
 from __future__ import annotations
@@ -103,32 +107,45 @@ def main() -> int:
     logs = tempfile.mkdtemp(prefix="clip_timeline_")
     check = engine.run.clip_check_batch
     start_ray()
-    ratios = []
+    runs = []
     try:
-        for job in range(-2, args.jobs):
-            n = WARM_CLIPS if job == -2 else args.clips
-            log = os.path.join(logs, f"job{job + 2}.jsonl")
+        # The warm-up, the first job, then the warm jobs.
+        for job in range(args.jobs + 2):
+            log = os.path.join(logs, f"job{job}.jsonl")
             open(log, "w").close()
             engine.run.clip_check_batch = timed(check, log)
             t0 = time.time()
-            totals = run_job(n, args.seed, args.cache_root)
+            totals = run_job(WARM_CLIPS if job == 0 else args.clips, args.seed,
+                             args.cache_root)
             wall = time.time() - t0
-            if job < 0:
-                continue
-            tasks, udf = timeline(log, t0)
-            ratios.append(udf / wall)
-            print(f"job {job + 1}: {totals['rows']} clips, wall {wall:.3f} s, "
-                  f"Σ UDF {udf:.3f} s, Σ UDF / wall {udf / wall:.2f}")
-            print("  worker     start     end   rows")
-            for pid, start, end, rows in tasks:
-                print(f"  {pid:>7} {start:8.3f} {end:7.3f} {rows:6d}")
+            runs.append((totals, wall, *timeline(log, t0)))
     finally:
         engine.run.clip_check_batch = check
         ray.shutdown()
         shutil.rmtree(logs, ignore_errors=True)
-    print(f"Σ UDF / wall over {len(ratios)} warm jobs: median {statistics.median(ratios):.2f}, "
+    (_, _, warm_up, _), (first_totals, first_wall, first, _), *warm = runs
+    for job, (totals, wall, tasks, udf) in enumerate(warm, 1):
+        print(f"job {job}: {totals['rows']} clips, wall {wall:.3f} s, "
+              f"Σ UDF {udf:.3f} s, Σ UDF / wall {udf / wall:.2f}")
+        print_tasks(tasks)
+    ratios = [udf / wall for _, wall, _, udf in warm]
+    print(f"Σ UDF / wall over {len(warm)} warm jobs: median {statistics.median(ratios):.2f}, "
           f"min {min(ratios):.2f}, max {max(ratios):.2f}")
+    median = statistics.median(wall for _, wall, _, _ in warm)
+    warmed = {pid for pid, *_ in warm_up}
+    print(f"first job after the {WARM_CLIPS}-clip warm-up ({len(warm_up)} check tasks "
+          f"on {len(warmed)} workers): {first_totals['rows']} clips, wall {first_wall:.3f} s "
+          f"against a warm median of {median:.3f} s ({first_wall / median:.2f}x)")
+    print_tasks(first, warmed)
     return 0
+
+
+def print_tasks(tasks: list[tuple], warmed: set | None = None) -> None:
+    """A job's check tasks; with ``warmed``, a worker outside it is cold."""
+    print("  worker     start     end   rows")
+    for pid, start, end, rows in tasks:
+        cold = "  cold" if warmed is not None and pid not in warmed else ""
+        print(f"  {pid:>7} {start:8.3f} {end:7.3f} {rows:6d}{cold}")
 
 
 if __name__ == "__main__":
