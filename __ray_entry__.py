@@ -423,7 +423,9 @@ def _near_dup_clusters(sf_dir: str):
     """The 100 TB-shaped cluster pipeline: minhash-LSH candidates → exact
     Jaccard>=0.9 verify → connected components.  Rows-only (LSH recall < 1
     by construction); recall vs the exact duplicate_clusters pair set is
-    gated in tests/test_cc.py::test_near_dup_cluster_pair_recall."""
+    gated in tests/test_cc.py::test_near_dup_cluster_pair_recall.  The
+    candidates and the verify run with no Ray groupby or join, and no pair
+    or text row reaches the driver (SCALE.md item 72)."""
     from engine.ops.cc import connected_components
     from engine.ops.dedup import jaccard_verify, minhash_lsh_pairs
     from engine.queries import _read
@@ -441,8 +443,10 @@ def _near_dup_clusters(sf_dir: str):
     # (the blob's edge density is ~1/3), fragmenting the cluster.
     # min_est 0.7 = >5σ below the 0.9 target for k=64 signatures (no
     # measurable true-pair loss) and prunes the sub-threshold halo BEFORE the
-    # exact verify — the verify stage, not LSH, dominates wall time on
-    # dup-dense corpora.
+    # exact verify.  Both run on plain tasks (stages.exchange, one shingle
+    # index), and LSH takes the larger share: at sf0.1 (4 CPUs, warm)
+    # LSH 1.9-2.1 s for 1.22M candidates, verify 1.4-1.5 s, components
+    # 0.25 s.
     cand = minhash_lsh_pairs(docs, min_est_jaccard=0.7, shingle_width=1,
                              pair_mode="hybrid", cap=512)
     cand = cand.map_batches(lambda t: t.select(["a", "b"]),

@@ -58,6 +58,25 @@ from ray.data.block import BlockMetadata
 from ray.data.datasource import Partitioning, PathPartitionParser
 
 
+# The block bound of the Datasets the engine builds: the clip check's, the
+# driver tables' and the exchanges' outputs (``bounded``).
+CHECK_BLOCK_BYTES = 16 * 1024 * 1024
+
+
+def bounded(ds):
+    """``ds``, its own context's block bound set to ``CHECK_BLOCK_BYTES``.
+
+    ``ds.context`` is one object that ``ds`` and every Dataset derived from
+    it share; ``DataContext.get_current()`` is left alone.  Until a task
+    has returned an output, Ray Data (2.49) reserves two blocks of the
+    bound for it from half of the object store: at Ray's default (128 MB)
+    a task reserves 256 MB, so on a 768 MB store each execution starts one
+    task alone; at 16 MB four tasks start at once.
+    """
+    ds.context.target_max_block_size = CHECK_BLOCK_BYTES
+    return ds
+
+
 def have_lance() -> bool:
     try:
         import lance  # noqa: F401
@@ -261,10 +280,12 @@ def read_table(path: str, *, columns=None, **kwargs):
     import ray.data
 
     if have_lance() and str(path).endswith(".lance"):
-        return ray.data.read_lance(path, columns=columns, **kwargs)
+        return bounded(ray.data.read_lance(path, columns=columns, **kwargs))
+    # The plan is made here, from the global block bound (see ``_plan``);
+    # the Dataset's own bound only sizes its blocks and reservations.
     source = RowGroupParquetDatasource(str(path), columns)
-    return ray.data.read_datasource(source, override_num_blocks=max(1, source.num_tasks()),
-                                    **kwargs)
+    return bounded(ray.data.read_datasource(
+        source, override_num_blocks=max(1, source.num_tasks()), **kwargs))
 
 
 def write_table(ds, path: str, **kwargs) -> None:

@@ -1,13 +1,14 @@
 """Deduplication operators over document tables (Ray-Data-native).
 
-Exact dedup is a key-projected hash shuffle; near-dup families follow the
-standard sketch → band → bucket-groupby shape so the all-to-all exchange only
-moves signatures, never full documents:
+Every keyed step is a ``stages.exchange`` (plain Ray tasks, no Ray Data
+groupby or join), and near-dup families follow the standard sketch → band →
+bucket shape, so the exchanges move hashes and signatures, never documents:
 
-  exact      : groupby(text).min(id)          — shuffle carries (text, id)
-  minhash-LSH: shingle → minhash(k) → band    — shuffle carries (band_key, sig)
-  simhash    : 64-bit simhash → 16-bit bands  — shuffle carries (band_key, bits)
-  jaccard    : exact verify of candidate pairs via two hash joins back to text
+  exact      : 128-bit content hash → min(id)  — exchange carries (hash, id)
+  minhash-LSH: shingle → minhash(k) → band     — exchange carries (band_key, sig)
+  simhash    : 64-bit simhash → 16-bit bands   — exchange carries (band_key, bits)
+  pair dedup : max/min per (a, b)              — exchange carries the pairs
+  jaccard    : exact verify of candidate pairs on a broadcast shingle index
 
 All signature math is vectorized numpy; per-row work is O(shingles).
 """
@@ -226,45 +227,6 @@ def lsh_band_rows(batch: pa.Table, *, bands: int = 16, id_col: str = "doc_id") -
     })
 
 
-def bucket_candidate_pairs(group: pa.Table, *, id_col: str = "doc_id",
-                           min_est_jaccard: float = 0.5, cap: int = 64) -> pa.Table:
-    """map_groups over (band, band_key): emit estimated-similar pairs.
-
-    ``cap`` bounds the quadratic blowup of a pathological hot bucket — the
-    skew guard.  A cap hit truncates the bucket to its first ``cap`` ids and
-    logs a WARNING with the bucket size, so skewed corpora are visible
-    instead of silently under-reported (round-1 VERDICT item 1b).
-    """
-    n = group.num_rows
-    if n < 2:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                         "est_jaccard": pa.array([], pa.float64())})
-    sig_arr = group.column("sig")
-    if isinstance(sig_arr, pa.ChunkedArray):
-        sig_arr = sig_arr.combine_chunks()
-    k = sig_arr.type.list_size
-    sigs = np.asarray(sig_arr.values.to_numpy(zero_copy_only=False)).reshape(n, k)
-    ids = group.column(id_col).to_numpy()
-    order = np.argsort(ids, kind="mergesort")
-    ids, sigs = ids[order], sigs[order]
-    if n > cap:
-        log.warning("minhash hot bucket truncated: %d rows > cap=%d "
-                    "(band=%s key=%s); pairs beyond the first %d ids dropped",
-                    n, cap, group.column("band")[0], group.column("band_key")[0], cap)
-        ids, sigs = ids[:cap], sigs[:cap]
-        n = cap
-    ai, bi = np.triu_indices(n, k=1)
-    est = (sigs[ai] == sigs[bi]).mean(axis=1)
-    keep = est >= min_est_jaccard
-    mask_diff = ids[ai] != ids[bi]
-    keep &= mask_diff
-    return pa.table({
-        "a": pa.array(ids[ai][keep]),
-        "b": pa.array(ids[bi][keep]),
-        "est_jaccard": pa.array(est[keep]),
-    })
-
-
 def duplicate_runs(*key_cols: np.ndarray) -> list[tuple[int, int]]:
     """(start, length) of each run of identical composite keys, length >= 2.
 
@@ -333,7 +295,7 @@ def partition_candidate_pairs(group: pa.Table, *, id_col: str = "doc_id",
 
     Sorts the partition by (band, band_key, id), finds duplicate-key runs
     vectorized, and only loops over the (rare) multi-member buckets.  Cap
-    semantics and truncation logging match bucket_candidate_pairs.
+    semantics and truncation logging live in ``capped_run_pairs``.
 
     pair_mode="clique" (default): capped all-pairs per bucket — every
     near-dup pair surfaces, hot buckets truncate at ``cap``.
@@ -344,8 +306,8 @@ def partition_candidate_pairs(group: pa.Table, *, id_col: str = "doc_id",
     guaranteed bucket connectivity past it (the capped clique alone
     systematically orphans every member beyond the first ``cap`` sorted
     ids; the chain alone fragments when downstream verification rejects a
-    link).  Duplicate (a, b) rows are collapsed by the caller's
-    groupby(a, b) dedup.  Cost stays O(cap² + n) per bucket.
+    link).  Duplicate (a, b) rows are collapsed by the caller's (a, b)
+    exchange.  Cost stays O(cap² + n) per bucket.
     """
     empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
                       "est_jaccard": pa.array([], pa.float64())})
@@ -398,10 +360,12 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                       shingle_width: int = 3, pair_mode: str = "clique"):
     """Full near-dup pipeline: docs → candidate pairs (deduped across bands).
 
-    The bucket stage is one ``stages.exchange`` on (band, band_key) that
+    Two ``stages.exchange`` rounds.  The bucket stage, on (band, band_key),
     detects buckets vectorized inside each part — it moves the same
     (band_key, sig) rows as a per-bucket groupby, but runs one Python step
-    per part, not per bucket.
+    per part, not per bucket.  A pair can surface from several bands, so
+    the second, on (a, b), keeps one row per pair with its largest
+    estimate, as ``a``, ``b``, ``max(est_jaccard)`` (``_dedup_pairs``).
     """
     from engine.stages import exchange
 
@@ -431,8 +395,22 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                                             cap=cap, pair_mode=pair_mode),
         pa.schema([("a", pa.int64()), ("b", pa.int64()),
                    ("est_jaccard", pa.float64())]))
-    # A pair can surface from several bands: keep the max estimate once.
-    return pairs.groupby(["a", "b"]).max("est_jaccard")
+    return _dedup_pairs(pairs, "est_jaccard", "max", pa.float64())
+
+
+def _dedup_pairs(pairs, col: str, op: str, dtype: pa.DataType):
+    """One row per (a, b) of ``pairs`` with ``op`` ("max" or "min") of
+    ``col``, named ``op(col)`` as Ray's groupby names it: an exchange on
+    (a, b) whose step is one Arrow hash aggregate, as in
+    ``queries.dedup_exact_documents``."""
+    from engine.stages import _group_blocks, exchange
+
+    keys, out = ["a", "b"], f"{op}({col})"
+    rows = pa.schema([("a", pa.int64()), ("b", pa.int64()), (col, dtype)])
+    return exchange(
+        pairs, keys,
+        lambda t: _group_blocks(keys, {col: op}, rows, t).rename_columns(["a", "b", out]),
+        pa.schema([("a", pa.int64()), ("b", pa.int64()), (out, dtype)]))
 
 
 # ---------------------------------------------------------------------- simhash
@@ -473,8 +451,9 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                   max_hamming: int = 3, cap: int = 64, concurrency=None):
     """Near-dup candidates via simhash banding (4 x 16-bit bands), verified by
     exact hamming distance inside the bucket — bucket detection vectorized per
-    part of one ``stages.exchange`` on (band, band_key), as in
-    minhash_lsh_pairs."""
+    part of one ``stages.exchange`` on (band, band_key), then one row per
+    pair with its least distance, as ``a``, ``b``, ``min(hamming)``, from a
+    second exchange on (a, b): the two rounds of minhash_lsh_pairs."""
     from engine.stages import exchange
 
     if concurrency is None:
@@ -524,14 +503,16 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          "hamming": pa.array(ham[keep])})
 
     bands = hashed.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    return exchange(bands, ["band", "band_key"], verify_partition, schema) \
-        .groupby(["a", "b"]).min("hamming")
+    return _dedup_pairs(exchange(bands, ["band", "band_key"], verify_partition, schema),
+                        "hamming", "min", pa.int64())
 
 
 # --------------------------------------------------------------- exact jaccard
 
 
 def _jaccard_from_texts(texts_a: list, texts_b: list, width: int) -> list[float]:
+    """Driver-side reference of ``jaccard_verify``'s score: the exact
+    shingle-set Jaccard of each (a, b) text pair."""
     ja = []
     for ta, tb in zip(texts_a, texts_b):
         sa = set(_shingle_hashes(ta or "", width).tolist())
@@ -541,100 +522,135 @@ def _jaccard_from_texts(texts_a: list, texts_b: list, width: int) -> list[float]
     return ja
 
 
+def _distinct_ids(*blocks: pa.Table) -> np.ndarray:
+    """Task of ``jaccard_verify``: the sorted distinct ids of the pairs."""
+    from engine.stages import _concat_rows
+
+    t = _concat_rows(blocks)
+    if t is None:
+        return np.empty(0, np.int64)
+    return np.unique(np.concatenate([t.column("a").to_numpy(), t.column("b").to_numpy()]))
+
+
+def _shingle_rows(ids_ref, id_col: str, text_col: str, width: int,
+                  batch: pa.Table) -> pa.Table:
+    """Docs map of ``jaccard_verify``: one (doc, shingle) row per shingle
+    of each document a pair names, each document shingled once."""
+    from engine.stages import _broadcast_from_ref
+
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    # np.isin yields a boolean array even for zero ids — an empty batch
+    # must produce a bool mask, not float64 (round-1 ADVICE medium).
+    keep = np.isin(ids, _broadcast_from_ref(ids_ref))
+    flat, counts = _batch_shingle_hashes(
+        batch.column(text_col).filter(pa.array(keep)).to_pylist(), width)
+    return pa.table({"doc": pa.array(np.repeat(ids[keep], counts), pa.int64()),
+                     "shingle": pa.array(flat, pa.uint64())})
+
+
+def _shingle_index(*blocks: pa.Table) -> tuple:
+    """Index task of ``jaccard_verify``: (ids, offsets, keys, v).  ``ids``
+    are the documents' sorted ids, and the distinct shingles of document i
+    are the codes ``keys[offsets[i]:offsets[i + 1]] - i * v``, each code in
+    [0, v) naming one distinct shingle hash of all the documents; ``keys``
+    is sorted."""
+    from engine.stages import _concat_rows
+
+    t = _concat_rows(blocks)
+    if t is None:
+        return np.empty(0, np.int64), np.zeros(1, np.int64), np.empty(0, np.int64), 1
+    ids, doc = np.unique(t.column("doc").to_numpy(), return_inverse=True)
+    codes, code = np.unique(t.column("shingle").to_numpy(), return_inverse=True)
+    v = codes.size
+    keys = np.unique(doc * v + code)
+    return ids, np.searchsorted(keys, np.arange(ids.size + 1) * v), keys, v
+
+
+# jaccard_verify's output columns.
+_SCORED = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())])
+
+# Shingles of one side the scoring of a pair block holds at once.
+_SCORE_CHUNK = 1 << 20
+
+
+def _score_pairs(index_box: list, min_jaccard: float, block: pa.Table) -> pa.Table:
+    """Score task of ``jaccard_verify``: |A ∩ B| / |A ∪ B| of each pair of
+    ``block`` whose two documents are in the index (``index_box`` holds its
+    ref, fetched once per worker), as an exact ratio of set sizes, kept when
+    it is at least ``min_jaccard``.  A pair that names a missing document is
+    dropped, as an inner join drops it."""
+    from engine.stages import _broadcast_from_ref
+
+    ids, offsets, keys, v = _broadcast_from_ref(index_box[0])
+    if not (block.num_rows and ids.size):
+        return _SCORED.empty_table()
+    a, b = block.column("a").to_numpy(), block.column("b").to_numpy()
+    ia = np.searchsorted(ids, a).clip(max=ids.size - 1)
+    ib = np.searchsorted(ids, b).clip(max=ids.size - 1)
+    found = (ids[ia] == a) & (ids[ib] == b)
+    a, b, ia, ib = a[found], b[found], ia[found], ib[found]
+    size = np.diff(offsets)
+    inter = np.zeros(a.size, np.int64)
+    ends = np.cumsum(size[ia])
+    lo = 0
+    while lo < a.size:
+        # Pairs [lo, hi) hold at most _SCORE_CHUNK shingles of their a side.
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[ia[lo]] + _SCORE_CHUNK,
+                                             side="right")))
+        n = size[ia[lo:hi]]
+        pair = np.repeat(np.arange(lo, hi), n)
+        at = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
+        # Each shingle code of a, placed in b's key range, and looked up.
+        q = keys[offsets[ia[pair]] + at] + (ib[pair] - ia[pair]) * v
+        hit = keys[np.searchsorted(keys, q).clip(max=keys.size - 1)] == q
+        inter[lo:hi] = np.bincount(pair[hit] - lo, minlength=hi - lo)
+        lo = hi
+    # Exact integers, so the float64 ratio is the correctly rounded one,
+    # bit for bit the driver-side set ratio of _jaccard_from_texts.
+    j = inter / (size[ia] + size[ib] - inter)
+    keep = j >= min_jaccard
+    return pa.table({"a": a[keep], "b": b[keep], "jaccard": j[keep]}).cast(_SCORED)
+
+
 def jaccard_verify(pairs_ds, docs_ds, *, text_col: str = "text", id_col: str = "doc_id",
-                   width: int = 3, min_jaccard: float = 0.5,
-                   num_partitions: int | None = None,
-                   max_broadcast_ids: int = 1_000_000):
-    """Exact n-gram Jaccard for candidate pairs.
+                   width: int = 3, min_jaccard: float = 0.5):
+    """Exact n-gram Jaccard of candidate pairs: the (a, b) rows of
+    ``pairs_ds`` whose shingle-set Jaccard is at least ``min_jaccard``, as
+    ``a``, ``b``, ``jaccard``.  A pair whose ``a`` or ``b`` has no document
+    in ``docs_ds`` is dropped (inner-join semantics); ids are unique keys.
 
-    Candidates are small relative to the corpus by construction (LSH output),
-    so the default shape is: collect the candidate id set, stream-scan the
-    docs table once to pull just those texts (a filter, not a shuffle),
-    broadcast the id→text map, and score pairs in parallel.
+    One plan at every size, and the driver holds only refs.  The pairs are
+    materialized once; one task takes their distinct ids; a map over the
+    docs keeps the documents those ids name and shingles each one once;
+    one task builds a sorted ids / offsets / shingle-code index from them
+    and leaves it in the object store; and one task per pair block scores
+    its pairs on the index, each worker fetching it once
+    (``stages._broadcast_from_ref``).  The score is an exact ratio of set
+    sizes, bit-identical to the driver-side ``_jaccard_from_texts``.
 
-    When the candidate id set exceeds ``max_broadcast_ids`` (a loosened LSH
-    threshold on a skewed corpus) the broadcast map would no longer be
-    "small" — the code falls through to two hash joins that ship texts to the
-    pairs instead of a driver-held dict (round-1 VERDICT "needs a size gate").
+    Memory is bounded by the index, not by the pairs: the distinct
+    candidate documents times their distinct shingles, 8 bytes each (sf0.1:
+    5,000 documents, about 0.9 MB), held once per worker.  A corpus whose
+    candidate index does not fit a worker needs a co-partitioned verify.
     """
+    import functools
+
     import ray
     import ray.data
 
-    empty = pa.table({
-        "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-        "jaccard": pa.array([], pa.float64())})
-    # Candidate pairs are a small intermediate (LSH output): pin them once so
-    # the size-gate count and the later consumption don't re-execute the
-    # upstream LSH pipeline.
-    pairs_ds = pairs_ds.materialize()
-    n_pairs = pairs_ds.count()
-    if n_pairs == 0:
-        return ray.data.from_arrow(empty)
+    from engine.io import bounded
 
-    def score(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
-        ja = _jaccard_from_texts(batch.column("text_a").to_pylist(),
-                                 batch.column("text_b").to_pylist(), width)
-        out = pa.table({"a": batch.column("a"), "b": batch.column("b"),
-                        "jaccard": pa.array(ja, pa.float64())})
-        return out.filter(pa.compute.greater_equal(out.column("jaccard"), min_jaccard))
-
-    if n_pairs * 2 > max_broadcast_ids:
-        # Join path: texts travel to the pairs through two hash joins; no
-        # driver-held map.  Partition count sized to the candidate volume.
-        if num_partitions is None:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-            num_partitions = max(2, min(cpus, n_pairs // 65536 + 1))
-        docs2 = docs_ds.select_columns([id_col, text_col])
-        j1 = pairs_ds.join(docs2, join_type="inner", num_partitions=num_partitions,
-                           on=("a",), right_on=(id_col,))
-        j1 = j1.map_batches(
-            lambda t: t.rename_columns(
-                ["text_a" if c == text_col else c for c in t.column_names]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        j2 = j1.join(docs2, join_type="inner", num_partitions=num_partitions,
-                     on=("b",), right_on=(id_col,))
-        j2 = j2.map_batches(
-            lambda t: t.rename_columns(
-                ["text_b" if c == text_col else c for c in t.column_names]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        return j2.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-    pair_rows = pairs_ds.take_all()
-    wanted = {int(r["a"]) for r in pair_rows} | {int(r["b"]) for r in pair_rows}
-    wanted_arr = np.fromiter(wanted, dtype=np.int64, count=len(wanted))
-    wanted_ref = ray.put(wanted_arr)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy()
-        # np.isin yields a boolean array even for zero ids — an empty batch
-        # must produce a bool mask, not float64 (round-1 ADVICE medium).
-        keep = np.isin(ids, ray.get(wanted_ref))
-        return pa.table({
-            id_col: batch.column(id_col).filter(pa.array(keep)),
-            text_col: batch.column(text_col).filter(pa.array(keep)),
-        })
-
-    picked = docs_ds.select_columns([id_col, text_col]).map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True).take_all()
-    text_map_ref = ray.put({int(r[id_col]): r[text_col] for r in picked})
-
-    cand = ray.data.from_arrow(pa.table({
-        "a": pa.array([int(r["a"]) for r in pair_rows], pa.int64()),
-        "b": pa.array([int(r["b"]) for r in pair_rows], pa.int64()),
-    }))
-
-    def score_broadcast(batch: pa.Table) -> pa.Table:
-        texts = ray.get(text_map_ref)
-        a_ids = batch.column("a").to_pylist()
-        b_ids = batch.column("b").to_pylist()
-        ja = _jaccard_from_texts([texts.get(a, "") for a in a_ids],
-                                 [texts.get(b, "") for b in b_ids], width)
-        out = batch.append_column("jaccard", pa.array(ja, pa.float64()))
-        return out.filter(pa.compute.greater_equal(out.column("jaccard"), min_jaccard))
-
-    return cand.map_batches(score_broadcast, batch_format="pyarrow", zero_copy_batch=True)
+    pair_refs = pairs_ds.select_columns(["a", "b"]).materialize().to_arrow_refs()
+    if not pair_refs:
+        return ray.data.from_arrow(_SCORED.empty_table())
+    ids_ref = ray.remote(_distinct_ids).remote(*pair_refs)
+    shingles = docs_ds.select_columns([id_col, text_col]).map_batches(
+        functools.partial(_shingle_rows, ids_ref, id_col, text_col, width),
+        batch_format="pyarrow", zero_copy_batch=True)
+    index_ref = ray.remote(_shingle_index).remote(*shingles.materialize().to_arrow_refs())
+    score = ray.remote(_score_pairs)
+    return bounded(ray.data.from_arrow_refs(
+        [score.remote([index_ref], min_jaccard, ref) for ref in pair_refs]))
 
 
 # Gate for the exact all-pairs operator — the ground-truth / oracle path;
@@ -737,16 +753,22 @@ def jaccard_all_pairs(ds, *, min_jaccard: float = 0.5, id_col: str = "doc_id",
 
 def dedup_keep_first(ds, *, id_col: str = "doc_id", content_col: str = "text",
                      out_path: str | None = None, n_buckets: int = 64):
-    """Exact keep-first dedup at scale: content-hash shuffle, winner per hash,
-    output written as bucket-partitioned keep-lists (never a driver list).
+    """Exact keep-first dedup at scale: content-hash exchange, winner per
+    hash, output written as bucket-partitioned keep-lists (never a driver
+    list).  Returns the winners as ``bucket``, ``id_col`` (int64 ids).
 
-    The shuffle moves (128-bit content hash as two int64 columns, id) rows —
-    128-bit keys because a 64-bit content hash expects a collision (two
-    distinct docs silently merged) by ~5B documents.  With ``out_path`` the
-    keep-list lands as ``out_path/bucket=K/*.parquet`` so a downstream filter
-    can broadcast or join per bucket, and a failed run can resume per bucket
-    (SCALE.md gap #3).
+    One ``stages.exchange`` on the 128-bit content hash (two int64
+    columns) moves (hash, bucket, id) rows, and its step keeps the least
+    id of each hash with one Arrow hash aggregate — 128-bit keys because a
+    64-bit content hash expects a collision (two distinct docs silently
+    merged) by ~5B documents.  With ``out_path`` the keep-list lands as
+    ``out_path/bucket=K/*.parquet`` so a downstream filter can broadcast or
+    join per bucket, and a failed run can resume per bucket (SCALE.md gap
+    #3).
     """
+    import functools
+
+    from engine.stages import _group_blocks, exchange
 
     def hash_rows(batch: pa.Table) -> pa.Table:
         h1, h2 = content_hash_128(batch.column(content_col))
@@ -756,14 +778,12 @@ def dedup_keep_first(ds, *, id_col: str = "doc_id", content_col: str = "text",
             id_col: batch.column(id_col),
         })
 
-    winners = ds.map_batches(hash_rows, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["h1", "h2"]).min([id_col, "bucket"]) \
-        .map_batches(
-            lambda t: pa.table({
-                "bucket": t.column("min(bucket)"),
-                id_col: t.column(f"min({id_col})"),
-            }),
-            batch_format="pyarrow", zero_copy_batch=True)
+    keys = ["h1", "h2"]
+    schema = pa.schema([("bucket", pa.int32()), (id_col, pa.int64())])
+    winners = exchange(
+        ds.map_batches(hash_rows, batch_format="pyarrow", zero_copy_batch=True), keys,
+        functools.partial(_group_blocks, keys, {id_col: "min", "bucket": "min"}, schema),
+        schema)
     if out_path is not None:
         winners.write_parquet(out_path, partition_cols=["bucket"])
     return winners

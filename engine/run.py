@@ -40,6 +40,7 @@ import pyarrow.compute as pc
 
 from engine.checks.sketches import Histogram, ks_statistic, psi
 from engine.data.clips import clips_dataset
+from engine.io import bounded
 from engine.stages import (
     MIN_SNR_DB,
     clip_check_batch,
@@ -57,10 +58,6 @@ VERDICT_COLS = [
     "repair_count", "lang", "confidence", "text_len", "audio_ok", "snr_db",
     "meta_ok", "fk_ok",
 ]
-
-
-# The check Dataset's block bound (see validate_clips_dataset).
-CHECK_BLOCK_BYTES = 16 * 1024 * 1024
 
 
 def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None = None,
@@ -87,19 +84,14 @@ def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None
     override the default transcript schema and SNR threshold (run-config
     surface).
 
-    The check Dataset's own context (``Dataset.context``: one object that
-    ``ds`` and every Dataset derived from it share;
-    ``DataContext.get_current()`` is left alone) bounds its blocks at
-    ``CHECK_BLOCK_BYTES`` = 16 MB, so every CPU runs a check task from the
-    first one on.  Until a task has returned an
-    output, Ray Data (2.49) reserves two blocks of the bound for it, and
-    all the tasks share half of the object store: at Ray's default bound
-    (128 MB) a task reserves 256 MB, one fits a 768 MB store, and the
-    second task started only when the first ended.  At 16 MB a task
-    reserves 32 MB, and four fit in half of a 256 MB store.  The bound
-    still holds a 3,000-clip table's check output block whole: a task's
-    512 + 238 clips are at most 13.6 MiB uncompressed (seed 1731), and the
-    check adds five small columns.
+    The check Dataset's own context bounds its blocks at
+    ``engine.io.CHECK_BLOCK_BYTES`` = 16 MB (``engine.io.bounded``; a
+    ``read_table`` input already has it), so every CPU runs a check task
+    from the first one on: a task reserves 32 MB before its first output,
+    and four fit in half of a 256 MB store.  The bound still holds a
+    3,000-clip table's check output block whole: a task's 512 + 238 clips
+    are at most 13.6 MiB uncompressed (seed 1731), and the check adds five
+    small columns.
     No bound at all admits the same first wave, but ``python -m engine
     validate --clips 4000`` then took about twice as long (19.3-21.5 s
     against 9.1-11.3 s at 16 MB, on a loaded 4-CPU box).
@@ -113,8 +105,7 @@ def validate_clips_dataset(ds, *, batch_size: int = 256, concurrency: int | None
         concurrency=concurrency,
         zero_copy_batch=True,
     )
-    checked.context.target_max_block_size = CHECK_BLOCK_BYTES
-    return checked
+    return bounded(checked)
 
 
 def attach_fk_check(ds, seed: int = 42):

@@ -49,6 +49,7 @@ import ray
 from engine.audio import ALL_CODECS, check_clip_audio
 from engine.checks.sketches import ColumnStats, Histogram, HyperLogLog, TDigest
 from engine.data.clips import TRANSCRIPT_SCHEMA
+from engine.io import bounded
 from engine.repair.api import repair_json
 from engine.repair.schema import SchemaFixer
 
@@ -1002,9 +1003,10 @@ def exchange(ds, keys: list[str], fn, schema: pa.Schema, sort=None, *,
              telemetry: dict | None = None):
     """:func:`exchange_parts` as a Dataset of its parts, built eagerly, so
     an error of ``fn`` raises here; ``sort`` is applied by
-    :func:`sorted_or_empty`."""
+    :func:`sorted_or_empty`.  The Dataset's blocks are bounded by
+    ``engine.io.bounded``, as :func:`range_exchange`'s are."""
     parts = exchange_parts(ds, keys, fn, schema, telemetry=telemetry)
-    return sorted_or_empty(ray.data.from_arrow_refs(parts), sort, schema)
+    return sorted_or_empty(bounded(ray.data.from_arrow_refs(parts)), sort, schema)
 
 
 def _range_sample(keys: list[str], n: int, *blocks: pa.Table) -> np.ndarray:
@@ -1082,8 +1084,8 @@ def range_exchange(ds, keys: list[str], fn, schema: pa.Schema, *,
     if telemetry is not None:
         telemetry.update(parts=n, splits=len(splits),
                          objects=len(splits) * n, driver_rows=n)
-    return ray.data.from_arrow_refs([
-        _range_finish_task.remote(fn, schema, int(s), p) for s, p in zip(starts, parts)])
+    return bounded(ray.data.from_arrow_refs([
+        _range_finish_task.remote(fn, schema, int(s), p) for s, p in zip(starts, parts)]))
 
 
 def shuffle_partitions(n_rows: int, *, rows_per_partition: int = 2_000_000,

@@ -360,6 +360,27 @@ def test_driver_query_read_plans_one_task_per_cpu(ray_session, tmp_path,
     assert sorted(ds.to_pandas()["n"]) == list(range(n))
 
 
+def test_read_table_admits_one_task_per_cpu_before_its_first_output(ray_session, tmp_path):
+    """A driver table's read reserves object store from its Dataset's own
+    block bound until a task has returned an output, from half the store:
+    4 read tasks fit on a 768 MB store (Ray's default bound reserves 256
+    MB a task, and one runs alone), and the global bound is untouched."""
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data._internal.logical.optimizers import get_execution_plan
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    from engine.io import read_table
+
+    pq.write_table(_keyed_table(0, 200), str(tmp_path / "t.parquet"), row_group_size=50)
+    op = get_execution_plan(read_table(str(tmp_path / "t.parquet"))._logical_plan).dag
+    assert op.name.startswith("ReadRowGroupParquet")
+    reserved = op.incremental_resource_usage().object_store_memory
+    assert 0 < 4 * reserved <= 768 * 1024 ** 2 / 2, reserved
+    assert (ray.data.DataContext.get_current().target_max_block_size
+            == DEFAULT_TARGET_MAX_BLOCK_SIZE)
+
+
 def _in_task_order(source) -> pa.Table:
     """The rows of ``source``'s read tasks, run here, in task order."""
     return pa.concat_tables([b for task in source.get_read_tasks(4) for b in task()])

@@ -154,3 +154,25 @@ def test_no_global_data_context_writes():
                     continue
                 offenders.append(f"{path}:{node.lineno} sets {attr}")
     assert not offenders, "\n".join(offenders)
+
+
+# Files whose keyed steps all run on stages.exchange.  A Ray Data groupby
+# or join may not come back into them.
+NO_RAY_SHUFFLE = ("engine/ops/dedup.py",)
+
+
+def test_no_ray_groupby_or_join():
+    """No ``groupby(`` call, and no ``.join(`` call with a ``join_type=``
+    keyword (Ray Data's hash join; ``str.join`` takes none), in the files
+    of ``NO_RAY_SHUFFLE``."""
+    offenders = []
+    for name in NO_RAY_SHUFFLE:
+        path = ROOT / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "groupby" or (
+                    node.func.attr == "join"
+                    and any(k.arg == "join_type" for k in node.keywords)):
+                offenders.append(f"{path}:{node.lineno} calls {node.func.attr}")
+    assert not offenders, "\n".join(offenders)

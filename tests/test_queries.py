@@ -195,6 +195,29 @@ def test_query_matches_oracle_on_multi_row_group_tables(name, ray_session,
     _assert_matches_oracle(name, str(d), con)
 
 
+# The near-dup family has no DuckDB oracle (LSH recall < 1 by design): its
+# sf0.001 rows are pinned by row count, columns and canonical_hash.
+NEAR_DUP_PINS = {
+    "minhash_near_dup": (28, ["a", "b", "max(est_jaccard)"],
+                         "6af290b4137aa29e62efb574db409259d0275e07176be1b76659d40e8e9416f7"),
+    "simhash_near_dup": (22, ["a", "b", "min(hamming)"],
+                         "34196493aa922b378a6b2878a5d3a48921caaf7dbe302af04cf1df96f785d22c"),
+    "jaccard_near_dup": (28, ["a", "b", "jaccard"],
+                         "ee413cd682a794a5062c321593cf89a43890576a6c8ceec7dd9d08d7fea31cd9"),
+    "near_dup_clusters": (256, ["doc_id", "cluster_id"],
+                          "ca0335a13af08de999145fb232f444e4faff40b449d9283860b613b96f66f200"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_DUP_PINS))
+def test_near_dup_query_keeps_its_pinned_rows(name, ray_session):
+    import __ray_entry__ as entrymod
+    from tools.check_oracles import canonical_hash, to_pandas
+
+    mine = to_pandas(entrymod.queries()[name](SF_DIR))
+    assert (len(mine), list(mine.columns), canonical_hash(mine)) == NEAR_DUP_PINS[name]
+
+
 def test_driver_cap_curation():
     """The driver's correctness gate samples the FIRST 50 keys of queries()
     in dict order (r04 lesson): both dicts follow the catalog's row order,

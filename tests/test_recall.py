@@ -15,6 +15,7 @@ import pyarrow.parquet as pq
 import pytest
 
 SF_DIR = "/root/testdata/sf0.01"
+SMALL_DIR = SF_DIR.replace("sf0.01", "sf0.001")
 
 
 def _word_shingles(text: str, width: int = 3) -> frozenset:
@@ -109,23 +110,31 @@ def test_knn_lsh_recall(ray_session):
     assert recall >= 0.9, f"knn_lsh recall {recall:.2f}: exact={exact} approx={approx}"
 
 
-def test_jaccard_verify_join_path_matches_broadcast(ray_session):
-    """The size-gated join fallback must score identically to the broadcast
-    path (forced by max_broadcast_ids=1)."""
+@pytest.mark.parametrize("width,lsh", [
+    (3, {"min_est_jaccard": 0.4}),
+    (1, {"min_est_jaccard": 0.7, "pair_mode": "hybrid", "cap": 512}),
+], ids=["width3", "width1"])
+def test_jaccard_verify_matches_driver_reference(width, lsh, ray_session, docs_table):
+    """jaccard_verify scores the candidates of jaccard_near_dup (width 3)
+    and near_dup_clusters (width 1) exactly as the driver-side reference
+    _jaccard_from_texts does, every float equal bit for bit."""
     import ray.data
 
-    from engine.ops.dedup import jaccard_verify, minhash_lsh_pairs
+    from engine.ops.dedup import _jaccard_from_texts, jaccard_verify, minhash_lsh_pairs
 
     docs = ray.data.read_parquet(f"{SF_DIR}/documents.parquet")
-    cand = minhash_lsh_pairs(docs, min_est_jaccard=0.4).map_batches(
-        lambda t: t.select(["a", "b"]), batch_format="pyarrow", zero_copy_batch=True)
-
-    def rows(ds):
-        return sorted((r["a"], r["b"], round(r["jaccard"], 9)) for r in ds.take_all())
-
-    broadcast = rows(jaccard_verify(cand, docs, min_jaccard=0.5))
-    joined = rows(jaccard_verify(cand, docs, min_jaccard=0.5, max_broadcast_ids=1))
-    assert broadcast and broadcast == joined
+    cand = [(r["a"], r["b"]) for r in
+            minhash_lsh_pairs(docs, shingle_width=width, **lsh).take_all()]
+    assert len(cand) >= 20
+    text = dict(zip(docs_table.column("doc_id").to_pylist(),
+                    docs_table.column("text").to_pylist()))
+    ref = _jaccard_from_texts([text[a] for a, _ in cand], [text[b] for _, b in cand], width)
+    want = {p: j for p, j in zip(cand, ref) if j >= 0.5}
+    pairs = ray.data.from_arrow(pa.table({"a": pa.array([a for a, _ in cand], pa.int64()),
+                                          "b": pa.array([b for _, b in cand], pa.int64())}))
+    got = {(r["a"], r["b"]): r["jaccard"] for r in
+           jaccard_verify(pairs, docs, width=width, min_jaccard=0.5).take_all()}
+    assert want and got == want
 
 
 def test_jaccard_verify_survives_empty_batches(ray_session):
@@ -142,11 +151,42 @@ def test_jaccard_verify_survives_empty_batches(ray_session):
     assert len(out) == 1 and out[0]["jaccard"] > 0.9
 
 
+def _verify_small(pairs: list, min_jaccard: float) -> dict:
+    import ray.data
+
+    from engine.ops.dedup import jaccard_verify
+
+    docs = ray.data.read_parquet(f"{SMALL_DIR}/documents.parquet")
+    ds = ray.data.from_arrow(pa.table({"a": pa.array([a for a, _ in pairs], pa.int64()),
+                                       "b": pa.array([b for _, b in pairs], pa.int64())}))
+    return {(r["a"], r["b"]): r["jaccard"] for r in
+            jaccard_verify(ds, docs, min_jaccard=min_jaccard).take_all()}
+
+
+def test_jaccard_verify_drops_pairs_without_a_document(ray_session):
+    """A pair whose a or b names no document is dropped, as an inner join
+    drops it: two absent ids are not two empty texts at J = 1.0."""
+    got = _verify_small([(10**9, 10**9 + 1), (70, 10**9), (70, 447)], 0.0)
+    assert set(got) == {(70, 447)}
+
+
+def test_jaccard_verify_scores_a_one_pair_input(ray_session):
+    """One pair is one block, scored like any other."""
+    import pyarrow.parquet as pq
+
+    from engine.ops.dedup import _jaccard_from_texts
+
+    docs = pq.read_table(f"{SMALL_DIR}/documents.parquet").to_pydict()
+    text = dict(zip(docs["doc_id"], docs["text"]))
+    assert _verify_small([(70, 447)], 0.0) == {
+        (70, 447): _jaccard_from_texts([text[70]], [text[447]], 3)[0]}
+
+
 def test_bucket_cap_truncation_is_logged(caplog):
     """Hot-bucket truncation must emit a WARNING (round-1 silent-cap fix)."""
     import logging
 
-    from engine.ops.dedup import bucket_candidate_pairs
+    from engine.ops.dedup import partition_candidate_pairs
 
     n, k = 10, 8
     sigs = np.zeros((n, k), dtype=np.int64)
@@ -157,7 +197,7 @@ def test_bucket_cap_truncation_is_logged(caplog):
         "sig": pa.FixedSizeListArray.from_arrays(pa.array(sigs.reshape(-1)), k),
     })
     with caplog.at_level(logging.WARNING, logger="engine.dedup"):
-        out = bucket_candidate_pairs(group, cap=4)
+        out = partition_candidate_pairs(group, cap=4)
     assert any("truncated" in r.message for r in caplog.records)
     # 4 capped ids -> C(4,2)=6 pairs of identical signatures
     assert out.num_rows == 6
