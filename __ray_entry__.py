@@ -331,10 +331,12 @@ def _duplicate_clusters(sf_dir: str, **cc_kwargs):
 
 def _duplicate_clusters_distributed(sf_dir: str):
     """duplicate_clusters with the DISTRIBUTED hash-to-min label-propagation
-    path FORCED (max_driver_edges=0): the 100-TB execution shape — seeded
-    1-hop min labels, then join+groupby-min rounds to the monotone fixpoint —
-    oracle-verified on real corpus pairs, not just unit-test graphs
-    (round-4 VERDICT item 8).  Same SQL oracle as duplicate_clusters."""
+    path FORCED (max_driver_edges=0): the 100-TB execution shape — the
+    edges partitioned once by node, 1-hop min labels seeded in each part,
+    then one message shuffle of plain Ray tasks per round to the fixpoint
+    (a round in which no label changed) — oracle-verified on real corpus
+    pairs, not just unit-test graphs (round-4 VERDICT item 8).  Same SQL
+    oracle as duplicate_clusters."""
     return _duplicate_clusters(sf_dir, max_driver_edges=0)
 
 
@@ -1300,9 +1302,7 @@ def _codec_duration_quantiles(sf_dir: str):
     into mostly-empty blocks whose schema Ray erases — the
     streaming_executor_state.py:793 warning class; per-batch digest
     partials + a keyed tree merge move only keys x fan-in JSON rows and
-    let the driver emit the 4-row report with an explicit schema).  The
-    salted-shuffle variant of this report stays available as
-    engine/stages.py:salted_group_digests for heavy-state groups."""
+    let the driver emit the 4-row report with an explicit schema)."""
     import json as _json
 
     from engine.checks.sketches import TDigest

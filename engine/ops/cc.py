@@ -24,18 +24,25 @@ Two execution shapes, size-gated like the rest of the dedup family:
 * Distributed path (past the gate, or forced): iterative min-label
   propagation — the MapReduce connected-components recipe of Rastogi et
   al., "Finding Connected Components in Map-Reduce in Logarithmic Rounds"
-  (ICDE 2013), in its hash-to-min flavour.  Each round ships every node's
-  current label across the (static, materialized-once) edge set with a
-  hash join and takes a per-node min; labels only ever decrease, so the
-  round-over-round SUM(label) is a monotone fixpoint witness — one cheap
-  scalar aggregate per round, no old-vs-new join.  Rounds are bounded by
-  the component diameter (near-dup clusters are dense in practice; the
-  1-hop seeding below removes one round for free), with a loud
+  (ICDE 2013), in its hash-to-min flavour, on plain Ray tasks.  The edges,
+  oriented both ways, are partitioned once by ``src`` with
+  ``stages.exchange_parts``; ``stages._split`` hashes only the int64
+  values, so edge part p and label part p hold the same nodes.  Each part
+  seeds its labels with the 1-hop minimum (node ∧ min neighbour), which
+  removes one round for free.  A round is one shuffle: one task per part
+  sends each edge's ``src`` label to its ``dst``, min-combined and cut in
+  n slices, and one task per part takes the min of its labels and its
+  incoming slices and counts the labels that changed.  Labels only ever
+  decrease, so a round in which no label changed is the fixpoint; only
+  those n counts reach the driver.  Rounds are bounded by the component
+  diameter (near-dup clusters are dense in practice), with a loud
   ``max_rounds`` failure rather than a silent wrong answer.
 
-Scale shape per round: one O(E) hash join + one O(V+E) groupby-min —
-both standard all-to-all exchanges on int64 pairs; nothing wider than the
-edge set ever moves, and the corpus itself is never touched.
+Scale shape per round: one O(E) exchange of (node, label) int64 messages,
+combined per part before they move; the edge parts stay where they are,
+nothing wider than the edge set ever moves, and the corpus itself is never
+touched.  The path starts one Ray Data execution after the input's
+``materialize()``, whatever the number of rounds.
 """
 
 from __future__ import annotations
@@ -110,13 +117,11 @@ def _partition_min(batch: pa.Table, key: str, val: str) -> pa.Table:
 
 
 # Past this many drop-ids the broadcast isin filter stops being "small";
-# hand the anti-join to the shuffle implementation instead.
+# hand the anti-join to the exchange implementation instead.
 KEEP_CANONICAL_MAX_BROADCAST_IDS = 1_000_000
 
 
-def keep_canonical(docs_ds, clusters_ds, *, id_col: str = "doc_id",
-                   max_broadcast_ids: int = KEEP_CANONICAL_MAX_BROADCAST_IDS,
-                   num_partitions: int | None = None):
+def keep_canonical(docs_ds, clusters_ds, *, id_col: str = "doc_id"):
     """Drop every clustered doc except its cluster representative.
 
     ``clusters_ds`` is connected_components output (doc_id, cluster_id);
@@ -125,14 +130,19 @@ def keep_canonical(docs_ds, clusters_ds, *, id_col: str = "doc_id",
     corpus.
 
     The drop set is proportional to the DUPLICATE set, not the corpus —
-    the common case broadcasts it once (ray.put) and filters the corpus
-    scan with a vectorized isin: zero shuffle of the corpus.  Past
-    ``max_broadcast_ids`` the corpus is anti-joined against the drop set
-    instead (one hash shuffle of (id)-projected rows), so a pathological
-    everything-is-duplicate input never materializes on the driver.
+    the common case has one task build the sorted drop ids from the drop
+    blocks and leave them in the object store, and filters the corpus
+    scan with a vectorized isin: zero shuffle of the corpus, and only the
+    drop count reaches the driver.  Past ``KEEP_CANONICAL_MAX_BROADCAST_IDS``
+    the corpus is anti-joined against the drop set instead
+    (``stages.fk_orphans_semijoin``, one exchange on the id carrying the
+    other doc columns), so a pathological everything-is-duplicate input
+    never lands in one worker.
     """
     import ray
-    import ray.data
+
+    from engine.ops.dedup import _distinct_ids
+    from engine.stages import fk_orphans_semijoin
 
     drop = clusters_ds.map_batches(
         lambda t: t.filter(
@@ -143,19 +153,13 @@ def keep_canonical(docs_ds, clusters_ds, *, id_col: str = "doc_id",
     if n_drop == 0:
         return docs_ds
 
-    if n_drop > max_broadcast_ids:
-        if num_partitions is None:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-            num_partitions = max(2, min(4 * cpus, n_drop // 262_144 + 1))
-        if id_col != "doc_id":
-            drop = drop.map_batches(
-                lambda t: t.rename_columns([id_col]),
-                batch_format="pyarrow", zero_copy_batch=True)
-        return docs_ds.join(drop, join_type="left_anti",
-                            num_partitions=num_partitions, on=(id_col,))
+    if n_drop > KEEP_CANONICAL_MAX_BROADCAST_IDS:
+        cols = docs_ds.columns()
+        return fk_orphans_semijoin(
+            docs_ds, drop, fact_key=id_col, dim_key="doc_id",
+            fact_payload=[c for c in cols if c != id_col]).select_columns(cols)
 
-    drop_ids, _ = _edges_to_numpy(drop, "doc_id", "doc_id")
-    drop_ref = ray.put(np.unique(drop_ids))
+    drop_ref = ray.remote(_distinct_ids).remote(["doc_id"], *drop.to_arrow_refs())
 
     def keep(batch: pa.Table) -> pa.Table:
         from engine.stages import _broadcast_from_ref
@@ -167,21 +171,88 @@ def keep_canonical(docs_ds, clusters_ds, *, id_col: str = "doc_id",
     return docs_ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
+_EDGES = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+
+
+def _orient_both(a_col: str, b_col: str, t: pa.Table) -> pa.Table:
+    """Edge map of the distributed path: each non-loop edge in both
+    directions, as int64 (src, dst)."""
+    src = t.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+    dst = t.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    return pa.table({"src": np.concatenate([src, dst]),
+                     "dst": np.concatenate([dst, src])})
+
+
+def _label_at(labels: pa.Table, nodes: np.ndarray) -> np.ndarray:
+    """Positions of ``nodes`` in one part's labels (sorted by doc_id).  A
+    node with no label in the part raises: it must never read another
+    node's label."""
+    known = labels.column("doc_id").to_numpy(zero_copy_only=False)
+    at = np.searchsorted(known, nodes)
+    if nodes.size and (known.size == 0 or not np.array_equal(
+            known[np.minimum(at, known.size - 1)], nodes)):
+        raise RuntimeError("connected_components: a node has no label in its part")
+    return at
+
+
+def _seed(edges: pa.Table) -> pa.Table:
+    """Seed task of a part: every src's min(node, min neighbour)."""
+    src = edges.column("src").to_numpy(zero_copy_only=False)
+    dst = edges.column("dst").to_numpy(zero_copy_only=False)
+    return _partition_min(pa.table({"doc_id": src, "cluster_id": np.minimum(src, dst)}),
+                          "doc_id", "cluster_id")
+
+
+def _messages(n: int, edges: pa.Table, labels: pa.Table):
+    """Send task of a round: each edge's src label to its dst, min per
+    dst, in n slices by part (``stages._split``)."""
+    from engine.stages import _split
+
+    src = edges.column("src").to_numpy(zero_copy_only=False)
+    label = labels.column("cluster_id").to_numpy(zero_copy_only=False)[_label_at(labels, src)]
+    msgs = _partition_min(pa.table({"doc_id": edges.column("dst"), "cluster_id": label}),
+                          "doc_id", "cluster_id")
+    return _split(["doc_id"], None, n, msgs)
+
+
+def _relabel(labels: pa.Table, *slices: pa.Table) -> tuple[pa.Table, int]:
+    """Receive task of a round: the min of a part's labels and its
+    incoming messages, and the number of labels that changed."""
+    from engine.stages import _concat_rows
+
+    msgs = _concat_rows(slices)
+    if msgs is None:
+        return labels, 0
+    msgs = _partition_min(msgs, "doc_id", "cluster_id")
+    at = _label_at(labels, msgs.column("doc_id").to_numpy(zero_copy_only=False))
+    old = labels.column("cluster_id").to_numpy(zero_copy_only=False)
+    new = old.copy()
+    new[at] = np.minimum(old[at], msgs.column("cluster_id").to_numpy(zero_copy_only=False))
+    return (pa.table({"doc_id": labels.column("doc_id"), "cluster_id": new}),
+            int(np.count_nonzero(new != old)))
+
+
 def connected_components(edges_ds, *, a_col: str = "a", b_col: str = "b",
                          max_driver_edges: int = CC_MAX_DRIVER_EDGES,
-                         max_rounds: int = 64,
-                         num_partitions: int | None = None):
+                         max_rounds: int = 64):
     """Edge Dataset (a_col, b_col) → Dataset (doc_id, cluster_id).
 
     cluster_id = min node id in the connected component.  Only nodes that
     appear in an edge are emitted.  See module docstring for the two
     execution shapes and their scale rationale.
     """
+    import functools
+
     import ray
     import ray.data
 
-    # The edge set is consumed several times (count + one join per round):
-    # pin it once so the upstream pair pipeline does not re-execute.
+    from engine.io import bounded
+    from engine.stages import exchange_parts
+
+    # The edge set is read twice (count + the driver pull or the edge
+    # exchange): pin it once so the upstream pair pipeline runs once.
     edges_ds = edges_ds.materialize()
     n_edges = edges_ds.count()
     if n_edges == 0:
@@ -198,61 +269,25 @@ def connected_components(edges_ds, *, a_col: str = "a", b_col: str = "b",
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array(nodes), "cluster_id": pa.array(labels)}))
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_partitions = max(2, min(4 * cpus, n_edges // 262_144 + 1))
-
-    def orient_both(t: pa.Table) -> pa.Table:
-        src = t.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        dst = t.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        return pa.table({"src": pa.array(np.concatenate([src, dst])),
-                         "dst": pa.array(np.concatenate([dst, src]))})
-
-    both = edges_ds.map_batches(orient_both, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
-
-    # Seed labels with the 1-hop minimum (node itself ∧ min neighbour) —
-    # one groupby instead of a full propagate round.
-    def seed(t: pa.Table) -> pa.Table:
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        dst = t.column("dst").to_numpy(zero_copy_only=False)
-        return _partition_min(pa.table({
-            "node": pa.array(src), "label": pa.array(np.minimum(src, dst))}),
-            "node", "label")
-
-    labels = both.map_batches(seed, batch_format="pyarrow", zero_copy_batch=True) \
-                 .groupby("node").min("label") \
-                 .map_batches(lambda t: t.rename_columns(["node", "label"]),
-                              batch_format="pyarrow", zero_copy_batch=True) \
-                 .materialize()
-    prev_sum = labels.sum("label")
-
+    both = edges_ds.map_batches(functools.partial(_orient_both, a_col, b_col),
+                                batch_format="pyarrow", zero_copy_batch=True)
+    edges = exchange_parts(both, ["src"], pa.Table.combine_chunks, _EDGES)
+    n = len(edges)
+    send = ray.remote(_messages).options(num_returns=n)
+    receive = ray.remote(_relabel).options(num_returns=2)
+    labels = [ray.remote(_seed).remote(e) for e in edges]
     for round_no in range(max_rounds):
-        msgs = both.join(labels, join_type="inner",
-                         num_partitions=num_partitions,
-                         on=("src",), right_on=("node",))
-        msgs = msgs.map_batches(
-            lambda t: _partition_min(
-                pa.table({"node": t.column("dst"), "label": t.column("label")}),
-                "node", "label"),
-            batch_format="pyarrow", zero_copy_batch=True)
-        labels = labels.union(msgs).groupby("node").min("label") \
-            .map_batches(lambda t: t.rename_columns(["node", "label"]),
-                         batch_format="pyarrow", zero_copy_batch=True) \
-            .materialize()
-        new_sum = labels.sum("label")
-        if new_sum == prev_sum:   # labels are monotone non-increasing ints
+        slices = [send.remote(n, e, l) for e, l in zip(edges, labels)]
+        if n == 1:
+            slices = [[s] for s in slices]
+        out = [receive.remote(labels[p], *(s[p] for s in slices)) for p in range(n)]
+        labels = [lab for lab, _ in out]
+        if not sum(ray.get([changed for _, changed in out])):
             break
-        prev_sum = new_sum
     else:
         raise RuntimeError(
             f"connected_components: no fixpoint after {max_rounds} rounds "
             f"(component diameter exceeds the bound); raise max_rounds")
     log.info("connected_components: converged in %d propagate rounds "
-             "(%d edges, %d partitions)", round_no + 1, n_edges, num_partitions)
-
-    return labels.map_batches(
-        lambda t: t.rename_columns(["doc_id", "cluster_id"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+             "(%d edges, %d parts)", round_no + 1, n_edges, n)
+    return bounded(ray.data.from_arrow_refs(labels))

@@ -5,6 +5,7 @@ groupby or join), and near-dup families follow the standard sketch → band →
 bucket shape, so the exchanges move hashes and signatures, never documents:
 
   exact      : 128-bit content hash → min(id)  — exchange carries (hash, id)
+               (``queries.dedup_exact_documents`` runs it on ``content_hash_128``)
   minhash-LSH: shingle → minhash(k) → band     — exchange carries (band_key, sig)
   simhash    : 64-bit simhash → 16-bit bands   — exchange carries (band_key, bits)
   pair dedup : max/min per (a, b)              — exchange carries the pairs
@@ -522,14 +523,15 @@ def _jaccard_from_texts(texts_a: list, texts_b: list, width: int) -> list[float]
     return ja
 
 
-def _distinct_ids(*blocks: pa.Table) -> np.ndarray:
-    """Task of ``jaccard_verify``: the sorted distinct ids of the pairs."""
+def _distinct_ids(cols: list[str], *blocks: pa.Table) -> np.ndarray:
+    """Task of ``jaccard_verify`` (and ``cc.keep_canonical``): the sorted
+    distinct ids in the ``cols`` of ``blocks``."""
     from engine.stages import _concat_rows
 
     t = _concat_rows(blocks)
     if t is None:
         return np.empty(0, np.int64)
-    return np.unique(np.concatenate([t.column("a").to_numpy(), t.column("b").to_numpy()]))
+    return np.unique(np.concatenate([t.column(c).to_numpy() for c in cols]))
 
 
 def _shingle_rows(ids_ref, id_col: str, text_col: str, width: int,
@@ -643,7 +645,7 @@ def jaccard_verify(pairs_ds, docs_ds, *, text_col: str = "text", id_col: str = "
     pair_refs = pairs_ds.select_columns(["a", "b"]).materialize().to_arrow_refs()
     if not pair_refs:
         return ray.data.from_arrow(_SCORED.empty_table())
-    ids_ref = ray.remote(_distinct_ids).remote(*pair_refs)
+    ids_ref = ray.remote(_distinct_ids).remote(["a", "b"], *pair_refs)
     shingles = docs_ds.select_columns([id_col, text_col]).map_batches(
         functools.partial(_shingle_rows, ids_ref, id_col, text_col, width),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -749,41 +751,3 @@ def jaccard_all_pairs(ds, *, min_jaccard: float = 0.5, id_col: str = "doc_id",
 
     return ds.select_columns([id_col, text_col]).map_batches(
         pairs, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def dedup_keep_first(ds, *, id_col: str = "doc_id", content_col: str = "text",
-                     out_path: str | None = None, n_buckets: int = 64):
-    """Exact keep-first dedup at scale: content-hash exchange, winner per
-    hash, output written as bucket-partitioned keep-lists (never a driver
-    list).  Returns the winners as ``bucket``, ``id_col`` (int64 ids).
-
-    One ``stages.exchange`` on the 128-bit content hash (two int64
-    columns) moves (hash, bucket, id) rows, and its step keeps the least
-    id of each hash with one Arrow hash aggregate — 128-bit keys because a
-    64-bit content hash expects a collision (two distinct docs silently
-    merged) by ~5B documents.  With ``out_path`` the keep-list lands as
-    ``out_path/bucket=K/*.parquet`` so a downstream filter can broadcast or
-    join per bucket, and a failed run can resume per bucket (SCALE.md gap
-    #3).
-    """
-    import functools
-
-    from engine.stages import _group_blocks, exchange
-
-    def hash_rows(batch: pa.Table) -> pa.Table:
-        h1, h2 = content_hash_128(batch.column(content_col))
-        return pa.table({
-            "h1": pa.array(h1), "h2": pa.array(h2),
-            "bucket": pa.array((h1.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int32)),
-            id_col: batch.column(id_col),
-        })
-
-    keys = ["h1", "h2"]
-    schema = pa.schema([("bucket", pa.int32()), (id_col, pa.int64())])
-    winners = exchange(
-        ds.map_batches(hash_rows, batch_format="pyarrow", zero_copy_batch=True), keys,
-        functools.partial(_group_blocks, keys, {id_col: "min", "bucket": "min"}, schema),
-        schema)
-    if out_path is not None:
-        winners.write_parquet(out_path, partition_cols=["bucket"])
-    return winners

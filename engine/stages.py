@@ -501,60 +501,6 @@ def violations_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def salted_group_digests(ds, key: str = "codec", value_col: str = "dur_ms",
-                         n_salts: int = 16):
-    """Skew-safe grouped quantiles: two-stage salted shuffle.
-
-    Stage 1 groups by (key, salt) with salt = hash64(row key-id) % n_salts, so
-    a hot key's rows spread across n_salts reducers instead of melting one;
-    stage 2 merges the per-salt t-digests per key (t-digest merge is
-    associative).  This is the explicit salting pattern from the north rule —
-    use it when per-group state is too heavy for the per-batch combiner
-    pattern (grouped_stats_partials) to bound.
-    """
-    from engine.checks.sketches import HyperLogLog, TDigest
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("clip_id").to_pylist(), dtype=object)
-        salt = (HyperLogLog.hash64(ids) % np.uint64(n_salts)).astype(np.int32)
-        return pa.table({
-            key: batch.column(key),
-            "salt": pa.array(salt),
-            value_col: batch.column(value_col),
-        })
-
-    def build_digest(group: pa.Table) -> pa.Table:
-        td = TDigest()
-        td.update(group.column(value_col).to_numpy().astype(np.float64))
-        return pa.table({
-            key: pa.array([group.column(key)[0].as_py()], pa.string()),
-            "state": pa.array([json.dumps(td.state())], pa.large_string()),
-            "n": pa.array([group.num_rows], pa.int64()),
-        })
-
-    def merge_digests(group: pa.Table) -> pa.Table:
-        from engine.checks.sketches import TDigest as TD
-
-        merged = TD()
-        for st in group.column("state").to_pylist():
-            merged.merge(TD.from_state(json.loads(st)))
-        n = int(pc.sum(group.column("n")).as_py())
-        return pa.table({
-            key: pa.array([group.column(key)[0].as_py()], pa.string()),
-            "n": pa.array([n], pa.int64()),
-            "p50": pa.array([round(merged.quantile(0.5), 2)]),
-            "p95": pa.array([round(merged.quantile(0.95), 2)]),
-        })
-
-    return (
-        ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([key, "salt"])
-        .map_groups(build_digest, batch_format="pyarrow")
-        .groupby(key)
-        .map_groups(merge_digests, batch_format="pyarrow")
-    )
-
-
 def exact_group_quantiles(ds, key: str, value_col: str,
                           qs: dict[str, float],
                           round_decimals: int = 4) -> pa.Table:
@@ -567,8 +513,9 @@ def exact_group_quantiles(ds, key: str, value_col: str,
     to O(batches x groups x distinct) rows, the global two-key groupby is
     small, and the driver's intake is O(groups x distinct) counts — exact
     quantiles at any row count WITHOUT sorting the data.  For unbounded
-    continuous domains use salted_group_digests (t-digest, approximate)
-    instead; this pair mirrors the HLL/exact-dedup split.
+    continuous domains use per-group t-digests merged with
+    :func:`keyed_tree_reduce` (approximate, as the codec duration report
+    does) instead; this pair mirrors the HLL/exact-dedup split.
 
     Interpolation matches SQL percentile_cont: h = (n-1) * q,
     v = v[floor(h)] + (v[ceil(h)] - v[floor(h)]) * frac(h).

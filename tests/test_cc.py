@@ -85,8 +85,7 @@ def test_connected_components_distributed_matches_driver(ray_session):
     a = pa.array([e[0] for e in edges], pa.int64())
     b = pa.array([e[1] for e in edges], pa.int64())
     ds = ray.data.from_arrow(pa.table({"a": a, "b": b}))
-    rows = connected_components(ds, max_driver_edges=0, num_partitions=3,
-                                max_rounds=32).take_all()
+    rows = connected_components(ds, max_driver_edges=0, max_rounds=32).take_all()
     got = {r["doc_id"]: r["cluster_id"] for r in rows}
     assert got == _reference_components(edges)
 
@@ -115,7 +114,7 @@ def test_connected_components_gate_boundary_paths_agree(ray_session):
     assert {r["doc_id"]: r["cluster_id"] for r in driver_rows} == want
 
     dist_rows = connected_components(ds, max_driver_edges=n - 1,
-                                     num_partitions=4, max_rounds=32).take_all()
+                                     max_rounds=32).take_all()
     assert {r["doc_id"]: r["cluster_id"] for r in dist_rows} == want
 
 
@@ -142,14 +141,15 @@ def test_connected_components_max_rounds_is_loud(ray_session):
         "a": pa.array([e[0] for e in edges], pa.int64()),
         "b": pa.array([e[1] for e in edges], pa.int64())}))
     with pytest.raises(RuntimeError, match="no fixpoint"):
-        connected_components(ds, max_driver_edges=0, num_partitions=2,
-                            max_rounds=2)
+        connected_components(ds, max_driver_edges=0, max_rounds=2)
 
 
-def test_keep_canonical_broadcast_and_join_paths_agree(ray_session):
-    """Both size-gate branches must drop exactly the clustered non-reps."""
+def test_keep_canonical_broadcast_and_join_paths_agree(ray_session, monkeypatch):
+    """Both size-gate branches must drop exactly the clustered non-reps and
+    return the survivors' whole rows, payload columns included."""
     import ray.data
 
+    from engine.ops import cc
     from engine.ops.cc import keep_canonical
 
     docs = ray.data.from_arrow(pa.table({
@@ -158,12 +158,40 @@ def test_keep_canonical_broadcast_and_join_paths_agree(ray_session):
     clusters = ray.data.from_arrow(pa.table({
         "doc_id": pa.array([2, 5, 7, 3, 9], pa.int64()),
         "cluster_id": pa.array([2, 2, 2, 3, 3], pa.int64())}))
-    expect = [0, 1, 2, 3, 4, 6, 8]
-    bcast = sorted(r["doc_id"] for r in keep_canonical(docs, clusters).take_all())
-    joined = sorted(r["doc_id"] for r in keep_canonical(
-        docs, clusters, max_broadcast_ids=0, num_partitions=2).take_all())
+    expect = [{"doc_id": i, "text": f"d{i}"} for i in [0, 1, 2, 3, 4, 6, 8]]
+    bcast = keep_canonical(docs, clusters).sort("doc_id").take_all()
+    monkeypatch.setattr(cc, "KEEP_CANONICAL_MAX_BROADCAST_IDS", 0)
+    joined = keep_canonical(docs, clusters).sort("doc_id").take_all()
     assert bcast == expect
     assert joined == expect
+
+
+def test_distributed_executions_do_not_grow_with_rounds(ray_session, monkeypatch):
+    """The distributed path starts the same number of Ray Data executions
+    on a 3-hop chain as on a 12-hop chain, which needs more rounds: a round
+    is plain Ray tasks, not a Dataset to execute."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    execute = StreamingExecutor.execute
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    executions = []
+    for hops in (3, 12):
+        edges = [(i, i + 1) for i in range(100, 100 + hops)]
+        ds = ray.data.from_arrow(pa.table({
+            "a": pa.array([e[1] for e in edges], pa.int64()),
+            "b": pa.array([e[0] for e in edges], pa.int64())}))
+        calls.clear()
+        rows = connected_components(ds, max_driver_edges=0).take_all()
+        executions.append(len(calls))
+        assert {r["doc_id"]: r["cluster_id"] for r in rows} == _reference_components(edges)
+    assert executions[0] == executions[1], executions
 
 
 def test_keep_canonical_no_duplicates_is_identity(ray_session):

@@ -158,7 +158,7 @@ def test_no_global_data_context_writes():
 
 # Files whose keyed steps all run on stages.exchange.  A Ray Data groupby
 # or join may not come back into them.
-NO_RAY_SHUFFLE = ("engine/ops/dedup.py",)
+NO_RAY_SHUFFLE = ("engine/ops/dedup.py", "engine/ops/cc.py")
 
 
 def test_no_ray_groupby_or_join():

@@ -208,47 +208,6 @@ def test_multimodal_stubs(ray_session):
         ImageDecodeStage(fake=False)(pa.table({"image": pa.array([b"z"], pa.large_binary())}))
 
 
-def test_salted_group_quantiles(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from engine.stages import salted_group_digests
-
-    rng = np.random.default_rng(9)
-    # heavily skewed key: 90% "hot"
-    keys = np.where(rng.random(20_000) < 0.9, "hot", "cold")
-    vals = np.where(keys == "hot", rng.normal(100, 10, 20_000), rng.normal(500, 50, 20_000))
-    ds = ray.data.from_arrow(pa.table({
-        "clip_id": pa.array([f"c{i}" for i in range(20_000)], pa.string()),
-        "codec": pa.array(keys.tolist(), pa.string()),
-        "dur_ms": pa.array(vals),
-    }))
-    out = {r["codec"]: r for r in salted_group_digests(ds).take_all()}
-    assert abs(out["hot"]["p50"] - np.median(vals[keys == "hot"])) < 2.0
-    assert abs(out["cold"]["p50"] - np.median(vals[keys == "cold"])) < 10.0
-    assert out["hot"]["n"] + out["cold"]["n"] == 20_000
-
-
-def test_dedup_keep_first_bucketed(docs_ds, tmp_path):
-    import pyarrow.parquet as pq
-
-    from engine.ops.dedup import dedup_keep_first
-
-    out = str(tmp_path / "keep")
-    winners = dedup_keep_first(docs_ds, out_path=out, n_buckets=8)
-    ids = sorted(r["doc_id"] for r in winners.take_all())
-    # 83 docs, one exact dup planted (82 == 2) -> 82 winners, dup loses to first
-    assert len(ids) == docs_ds.count() - 1
-    assert 2 in ids and 82 not in ids
-    # bucket-partitioned layout on disk
-    import glob
-    buckets = glob.glob(f"{out}/bucket=*")
-    assert buckets
-    total = sum(pq.read_table(f).num_rows for b in buckets for f in glob.glob(f"{b}/*.parquet"))
-    assert total == len(ids)
-
-
 def test_image_codecs_roundtrip():
     """Pure-numpy PPM/PGM/BMP/TGA encode→decode is pixel-exact."""
     import numpy as np

@@ -79,13 +79,28 @@ def test_text_stages_sparse(ray_session):
     assert run(_docs()) == run(_docs(64))
 
 
-def test_dedup_keep_first_sparse(ray_session):
-    from engine.ops.dedup import dedup_keep_first
+def test_components_and_keep_canonical_sparse(ray_session, monkeypatch):
+    """The distributed components and keep_canonical's exchange path over
+    64 blocks give the one-block result."""
+    import pyarrow as pa
+    import ray.data
 
-    def winners(ds):
-        return sorted(r["doc_id"] for r in dedup_keep_first(ds).take_all())
+    from engine.ops import cc
 
-    assert winners(_docs()) == winners(_docs(64))
+    monkeypatch.setattr(cc, "KEEP_CANONICAL_MAX_BROADCAST_IDS", 0)
+    ids = pa.array(range(0, 500, 3), pa.int64())
+    edges = pa.table({"a": ids, "b": pa.compute.multiply(pa.compute.divide(ids, 7), 7)})
+
+    def survivors(n_blocks=None):
+        ds = ray.data.from_arrow(edges)
+        clusters = cc.connected_components(
+            ds.repartition(n_blocks) if n_blocks else ds, max_driver_edges=0)
+        return sorted(r["doc_id"] for r in cc.keep_canonical(
+            _docs(n_blocks).select_columns(["doc_id", "text"]), clusters).take_all())
+
+    one_block = survivors()
+    assert len(one_block) < 500
+    assert one_block == survivors(64)
 
 
 def test_tree_reduce_sparse(ray_session):
