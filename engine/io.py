@@ -132,7 +132,9 @@ def _read_rows(fragment, file_schema, schema, part, step):
     for key, value in _hive(fragment.path).items():
         if key in schema.names and key not in table.column_names:
             table = table.append_column(key, pa.array([value] * table.num_rows, pa.string()))
-    return table.select(schema.names)
+    # No schema metadata (pandas' b'pandas' entry): a schema that carries
+    # any cannot be hashed, and Ray Data's schema unification then warns.
+    return table.select(schema.names).replace_schema_metadata()
 
 
 def _read_units(units, file_schema, schema):
@@ -204,7 +206,7 @@ class RowGroupParquetDatasource(Datasource):
         # split_by_row_group() reads every footer here, on the driver.
         self._fragments = [rg for f in dataset.get_fragments()
                            for rg in f.split_by_row_group()]
-        self._file_schema = schema = dataset.schema
+        self._file_schema = schema = dataset.schema.remove_metadata()
         for key in _hive(dataset.files[0]) if dataset.files else ():
             if key not in schema.names:
                 schema = schema.append(pa.field(key, pa.string()))

@@ -9,11 +9,12 @@ side: customer → market segment, part → brand, order → (segment, month).
     and its non-NULL keys are unique.  A ``stages.BroadcastMap`` of sorted
     int64 keys → int codes reaches every worker once, and each probe batch
     does one vectorized ``lookup``.  Nothing is shuffled.
-  - **shuffle** otherwise: ``shuffle_join``, Ray's partitioned hash join.
+  - **shuffle** otherwise: ``stages.exchange_join``, the build and probe
+    sides hashed into the same parts and one Arrow join per part.
 
 Uniqueness rule: a map holds one value per key, but SQL joins a probe row
 with EVERY build row of its key.  A repeated key would silently drop those
-fan-out rows, so a build side with one falls back to the shuffle join.
+fan-out rows, so a build side with one falls back to the shuffle.
 
 Off-driver build: one Ray task concatenates the materialized build side's
 Arrow blocks, drops NULL keys, encodes the values, sorts the keys, checks
@@ -22,7 +23,7 @@ intake is O(1) rows plus O(distinct values): the map's ObjectRef, the build
 side's row count and the value dictionary — never the build side itself.
 
 NULL keys never match, under either strategy: ``lookup`` masks them, and
-Ray's hash join matches no NULL key.  A combiner in front of a shuffle join
+an Arrow join matches no NULL key.  A combiner in front of the shuffle
 drops them with ``valid_keys`` first: its numpy key column cannot hold a
 NULL.  NULL values are values: the dictionary keeps NULL as an entry of its
 own, so it groups as SQL's GROUP BY does.
@@ -156,15 +157,4 @@ def valid_keys(batch: pa.Table, key: str) -> pa.Table:
     """The rows of ``batch`` whose ``key`` is not NULL."""
     col = batch.column(key)
     return batch.filter(pc.is_valid(col)) if col.null_count else batch
-
-
-def shuffle_join(probe, probe_key: str, build, build_key: str, probe_rows: int):
-    """Ray's inner partitioned hash join, its width sized by the probe
-    side's row count.  A NULL key matches nothing (Arrow hash-join
-    semantics)."""
-    from engine.stages import shuffle_partitions
-
-    return probe.join(build, join_type="inner",
-                      num_partitions=shuffle_partitions(probe_rows),
-                      on=(probe_key,), right_on=(build_key,))
 

@@ -135,9 +135,9 @@ def keep_canonical(docs_ds, clusters_ds, *, id_col: str = "doc_id"):
     scan with a vectorized isin: zero shuffle of the corpus, and only the
     drop count reaches the driver.  Past ``KEEP_CANONICAL_MAX_BROADCAST_IDS``
     the corpus is anti-joined against the drop set instead
-    (``stages.fk_orphans_semijoin``, one exchange on the id carrying the
-    other doc columns), so a pathological everything-is-duplicate input
-    never lands in one worker.
+    (``stages.fk_orphans_semijoin``, one left anti ``stages.exchange_join``
+    on the id carrying the other doc columns), so a pathological
+    everything-is-duplicate input never lands in one worker.
     """
     import ray
 

@@ -349,12 +349,15 @@ def knn_multi_query(ds, query_ids, query_mat, k: int = 5, *,
     Per batch: one (n, m) sims matrix, then the same deterministic rounded
     tie cut as knn_brute_force per query column (_local_cut — (ROUND(sim,d)
     DESC, id ASC), the oracle's ordering).  The global merge is a per-query
-    rank over the #batches × k candidate pool; query count m is bounded by
-    construction, so a per-key map_groups dispatch is safe here.
+    rank over the #batches × k candidate pool: one ``stages.window_by_key``
+    on the query id sorts each part's candidates by (query_id, sim DESC, id
+    ASC) and keeps the first k of each query.
 
     Returns (query_id, id_col, sim, rank) with rank 1..k per query.
     """
     import ray
+
+    from engine.stages import window_by_key
 
     qids = np.asarray(query_ids, dtype=np.int64)
     Q = np.asarray(query_mat, dtype=np.float32)
@@ -389,16 +392,17 @@ def knn_multi_query(ds, query_ids, query_mat, k: int = 5, *,
                 pa.array(np.full(cut.num_rows, ids_q[j], dtype=np.int64))))
         return pa.concat_tables(parts) if parts else empty
 
-    def global_cut(group: pa.Table) -> pa.Table:
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        sims = group.column("sim").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.table({
-            "query_id": group.column("query_id").take(pa.array(order)),
-            id_col: group.column(id_col).take(pa.array(order)),
-            "sim": group.column("sim").take(pa.array(order)),
-            "rank": pa.array(np.arange(1, order.size + 1, dtype=np.int64)),
-        })
+    def global_cut(part: pa.Table, starts: np.ndarray) -> pa.Table:
+        rank = np.arange(part.num_rows) - np.repeat(
+            starts, np.diff(np.append(starts, part.num_rows))) + 1
+        keep = pa.array(rank <= k)
+        return part.filter(keep).append_column("rank", pa.array(rank).filter(keep))
 
-    return ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("query_id").map_groups(global_cut, batch_format="pyarrow")
+    cands = ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True) \
+        .materialize()
+    s = cands.schema()
+    id_type = s.base_schema.field(id_col).type if s is not None and id_col in s.names \
+        else pa.int64()
+    return window_by_key(cands, "query_id", [("sim", "descending"), id_col], global_cut,
+                         pa.schema([("query_id", pa.int64()), (id_col, id_type),
+                                    ("sim", pa.float64()), ("rank", pa.int64())]))

@@ -17,6 +17,7 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # Tiny public stopword profiles (top function words per language).
 STOPWORDS = {
@@ -310,15 +311,8 @@ def term_doc_counts(batch: pa.Table, *, text_col: str = "text",
     })
 
 
-# Above this vocabulary size the df map is no longer a "small side";
-# fall through to a term-keyed hash join instead of a driver broadcast.
-TFIDF_MAX_BROADCAST_TERMS = 1_000_000
-
-
 def top_terms_per_doc(ds, *, k: int = 3, text_col: str = "text",
-                      id_col: str = "doc_id",
-                      max_broadcast_terms: int = TFIDF_MAX_BROADCAST_TERMS,
-                      num_partitions: int | None = None):
+                      id_col: str = "doc_id"):
     """Per-document top-k characteristic terms, tf-idf ranked.
 
     Rank order is (tf DESC, df ASC, term ASC) — raw term frequency with
@@ -328,56 +322,26 @@ def top_terms_per_doc(ds, *, k: int = 3, text_col: str = "text",
     the query bit-reproducible in a SQL oracle (no float rounding hazard).
 
     Scale shape: (1) one wordcount map producing (doc, term, tf) partials —
-    the only stage that reads text; (2) df = groupby(term).count over those
-    rows (the classic wordcount shuffle, O(distinct term-doc pairs));
-    (3) df attached back either via a size-gated driver broadcast
-    (vocabulary <= max_broadcast_terms: a pandas-map lookup per batch, no
-    shuffle) or a term-keyed hash join; (4) per-doc top-k: one
-    ``stages.exchange`` on the document id, one vectorized lexsort per part.
+    the only stage that reads text; (2) one ``stages.exchange`` of those
+    rows on the term, whose step counts each term's rows (its df) and
+    appends it: the df reaches every row without a join or a broadcast;
+    (3) per-doc top-k: one ``stages.exchange`` on the document id, one
+    vectorized lexsort per part.
     """
-    import ray
-    import ray.data
-
     from engine.stages import exchange
 
     td = ds.map_batches(
         lambda t: term_doc_counts(t, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+        batch_format="pyarrow", zero_copy_batch=True)
 
-    df = td.groupby("term").count() \
-           .map_batches(lambda t: t.rename_columns(["term", "df"]),
-                        batch_format="pyarrow", zero_copy_batch=True) \
-           .materialize()
-    n_terms = df.count()
+    def add_df(part: pa.Table) -> pa.Table:
+        codes = pc.dictionary_encode(part.column("term").combine_chunks()).indices
+        codes = codes.to_numpy(zero_copy_only=False)
+        return part.append_column("df", pa.array(np.bincount(codes)[codes]))
 
-    if n_terms > max_broadcast_terms:
-        if num_partitions is None:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-            num_partitions = max(2, min(4 * cpus, n_terms // 262_144 + 1))
-        with_df = td.join(df, join_type="inner", num_partitions=num_partitions,
-                          on=("term",))
-    else:
-        import pandas as pd
-
-        parts = [b for b in df.iter_batches(batch_format="pyarrow")
-                 if b.num_rows]
-        table = pa.concat_tables(parts) if parts else pa.table(
-            {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
-        df_map = pd.Series(table.column("df").to_numpy(zero_copy_only=False),
-                           index=pd.Index(table.column("term").to_pylist()))
-        df_ref = ray.put(df_map)
-
-        def attach(batch: pa.Table) -> pa.Table:
-            from engine.stages import _broadcast_from_ref
-
-            if batch.num_rows == 0:
-                return batch.append_column("df", pa.array([], pa.int64()))
-            lookup = _broadcast_from_ref(df_ref)   # per-worker fetch-once
-            vals = lookup.reindex(batch.column("term").to_pylist()).to_numpy()
-            return batch.append_column("df", pa.array(vals.astype(np.int64)))
-
-        with_df = td.map_batches(attach, batch_format="pyarrow",
-                                 zero_copy_batch=True)
+    tdf = pa.schema([(id_col, pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
+                     ("df", pa.int64())])
+    with_df = exchange(td, ["term"], add_df, tdf)
 
     def topk_partition(group: pa.Table) -> pa.Table:
         n = group.num_rows

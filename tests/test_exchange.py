@@ -167,3 +167,76 @@ def test_range_exchange_refuses_nan_keys(ray_session):
     with pytest.raises(Exception, match="sort key column 'f' has 1 NULL/NaN"):
         stages.range_exchange(ds, ["f"], lambda t, s: t,
                               pa.schema([("f", pa.float64())]))
+
+
+JOINS = ("inner", "full outer", "left anti")
+
+
+def _merge_reference(left, right, how: str, lk: str, rk: str) -> list[tuple]:
+    """SQL's join of two Arrow tables by pandas merge: a NULL key matches
+    nothing (pandas alone would match NaN with NaN).  Rows as tuples, the
+    left columns then the right non-key columns, lists as tuples."""
+    import pandas as pd
+
+    ldf, rdf = left.to_pandas(), right.to_pandas()
+    lnull, rnull = ldf[ldf[lk].isna()], rdf[rdf[rk].isna()]
+    ldf, rdf = ldf[ldf[lk].notna()], rdf[rdf[rk].notna()]
+    if how == "left anti":
+        out = pd.concat([ldf[~ldf[lk].isin(rdf[rk])], lnull])
+    else:
+        m = ldf.merge(rdf, how="inner" if how == "inner" else "outer",
+                      left_on=lk, right_on=rk, suffixes=("", "_r"))
+        if how == "full outer":
+            m[lk] = m[lk].where(m[lk].notna(), m.get(rk, m[lk]))
+            m = pd.concat([m, lnull, rnull.rename(columns={rk: lk})])
+        out = m[[*left.column_names, *(c for c in right.column_names if c != rk)]]
+    return _rows(out.to_dict("records"))
+
+
+def _rows(records) -> list[tuple]:
+    def norm(v):
+        if isinstance(v, (list, np.ndarray)):
+            return tuple(int(x) for x in v)
+        if v is None or (isinstance(v, float) and np.isnan(v)):
+            return None
+        return v.item() if isinstance(v, np.generic) else v
+    return sorted((tuple(norm(v) for v in r.values()) for r in records), key=repr)
+
+
+def test_exchange_join_matches_pandas_merge(ray_session):
+    """Each ``how`` of ``stages.exchange_join`` against a pandas merge
+    reference: NULL keys on both sides, a list payload (Acero refuses one
+    in a join), one empty side and then both, int32 keys against int64
+    keys, string keys, and a key repeated on both sides (fan-out)."""
+    import ray.data
+
+    from engine import stages
+
+    left = pa.table({"k": pa.array([1, 2, 2, 3, None, 5, -1], pa.int64()),
+                     "tags": pa.array([[1], [2, 2], [], [3], [9], None, [7]],
+                                      pa.list_(pa.int64())),
+                     "lv": pa.array(range(7), pa.int64())})
+    right = pa.table({"rk": pa.array([2, 2, 3, None, 4, -1], pa.int64()),
+                      "rv": pa.array(["a", "b", "c", "n", "d", "m"], pa.string())})
+    cases = [(left, right), (left.slice(0, 0), right), (left, right.slice(0, 0)),
+             (left.slice(0, 0), right.slice(0, 0)),
+             (left.cast(left.schema.set(0, pa.field("k", pa.int32()))), right),
+             (left.set_column(0, "k", pa.array(["x", "y", "y", "z", None, "v", ""])),
+              right.set_column(0, "rk", pa.array(["y", "y", "z", None, "w", ""])))]
+    for lt, rt in cases:
+        for how in JOINS:
+            tel: dict = {}
+            out = stages.exchange_join(
+                ray.data.from_arrow([lt.slice(0, 3), lt.slice(3)]),
+                ray.data.from_arrow(rt), ["k"], ["rk"], how=how, telemetry=tel)
+            got = out.take_all()
+            assert _rows(got) == _merge_reference(lt, rt, how, "k", "rk"), (how, lt.schema)
+            if got:
+                assert list(got[0]) == lt.column_names + (
+                    [] if how == "left anti" else ["rv"])
+            assert tel["parts"] == _n_cpus() and tel["driver_rows"] == 0
+            if lt.num_rows and how == "left anti":
+                assert out.schema().names == lt.column_names
+    with np.testing.assert_raises(ValueError):
+        stages.exchange_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                             ["k"], ["rk"], how="left outer")

@@ -278,23 +278,6 @@ def test_fk_orphans_semijoin_sparse_many_blocks(ray_session):
     assert fk_orphans_semijoin(clean, dim, fact_key="k", dim_key="k").count() == 0
 
 
-def test_orphan_row_mask_vectorized():
-    """Unit-test the per-partition anti-join core (round-2 VERDICT item 3:
-    orphan detection is vectorized inside a hash partition, never a per-key
-    Python dispatch)."""
-    import numpy as np
-
-    from engine.stages import _orphan_row_mask
-
-    # keys:   a a b b c   (a has a dim row; b is pure-fact; c is pure-dim)
-    keys = np.array(["a", "a", "b", "b", "c"], dtype=object)
-    flags = np.array([False, True, False, False, True])
-    assert _orphan_row_mask(keys, flags).tolist() == [
-        False, False, True, True, False]
-    assert _orphan_row_mask(np.array([], dtype=object),
-                            np.array([], dtype=bool)).tolist() == []
-
-
 def test_fk_semijoin_payload_and_partition_dispatch(ray_session, monkeypatch):
     """Round-2 VERDICT items 3+4: (a) payload columns ride the shuffle so a
     full orphan report streams without a driver key set, and (b) the
@@ -308,14 +291,14 @@ def test_fk_semijoin_payload_and_partition_dispatch(ray_session, monkeypatch):
     from engine.stages import fk_orphans_semijoin
 
     calls = []
-    exchange = engine.stages.exchange
+    exchange_join = engine.stages.exchange_join
 
-    def spy(ds, keys, fn, schema, sort=None):
+    def spy(left, right, keys, right_keys=None, how="inner"):
         telemetry = {}
-        calls.append((keys, telemetry))
-        return exchange(ds, keys, fn, schema, sort, telemetry=telemetry)
+        calls.append((keys, how, telemetry))
+        return exchange_join(left, right, keys, right_keys, how, telemetry=telemetry)
 
-    monkeypatch.setattr(engine.stages, "exchange", spy)
+    monkeypatch.setattr(engine.stages, "exchange_join", spy)
 
     n = 6000                                   # thousands of DISTINCT keys
     dim = ray.data.from_arrow(pa.table({"ck": pa.array(
@@ -328,8 +311,8 @@ def test_fk_semijoin_payload_and_partition_dispatch(ray_session, monkeypatch):
                               fact_payload=["orderkey"])
     rows = sorted((r["ck"], r["orderkey"]) for r in out.take_all())
     assert rows == [(k, 100 + k) for k in range(1, n, 2)]  # odd keys orphan
-    [(keys, telemetry)] = calls
-    assert keys == ["key"]
+    [(keys, how, telemetry)] = calls
+    assert keys == ["ck"] and how == "left anti"
     assert telemetry["parts"] == int(ray.cluster_resources()["CPU"])
     assert telemetry["driver_rows"] == 0
 

@@ -157,22 +157,31 @@ def test_no_global_data_context_writes():
 
 
 # Files whose keyed steps all run on stages.exchange.  A Ray Data groupby
-# or join may not come back into them.
-NO_RAY_SHUFFLE = ("engine/ops/dedup.py", "engine/ops/cc.py")
+# may not come back into them.
+NO_RAY_SHUFFLE = ("engine/ops/dedup.py", "engine/ops/cc.py", "engine/joins.py",
+                  "engine/ops/diff.py", "engine/ops/text.py", "engine/ops/similarity.py")
+
+
+def _ray_join(node: ast.Call) -> bool:
+    """A ``.join(`` call in Ray Data's form ``join(ds, join_type,
+    num_partitions, on=...)``: a ``num_partitions`` or ``on`` keyword, or 3
+    or more positional arguments.  ``str.join`` takes one argument and
+    Arrow's ``Table.join(right, keys, join_type=...)`` two."""
+    return node.func.attr == "join" and (
+        len(node.args) >= 3
+        or any(k.arg in ("num_partitions", "on") for k in node.keywords))
 
 
 def test_no_ray_groupby_or_join():
-    """No ``groupby(`` call, and no ``.join(`` call with a ``join_type=``
-    keyword (Ray Data's hash join; ``str.join`` takes none), in the files
-    of ``NO_RAY_SHUFFLE``."""
+    """No ``groupby(`` call in the files of ``NO_RAY_SHUFFLE``, and no Ray
+    Data join (:func:`_ray_join`) anywhere in ``engine/``: every equi-join
+    runs on ``stages.exchange_join``."""
     offenders = []
-    for name in NO_RAY_SHUFFLE:
-        path = ROOT / name
+    no_groupby = {ROOT / name for name in NO_RAY_SHUFFLE}
+    for path in sorted((ROOT / "engine").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
-            if node.func.attr == "groupby" or (
-                    node.func.attr == "join"
-                    and any(k.arg == "join_type" for k in node.keywords)):
+            if _ray_join(node) or (node.func.attr == "groupby" and path in no_groupby):
                 offenders.append(f"{path}:{node.lineno} calls {node.func.attr}")
     assert not offenders, "\n".join(offenders)

@@ -531,34 +531,42 @@ def test_all_pairs_cosine_exact_and_gate(emb_ds, monkeypatch):
         sim.all_pairs_cosine(emb_ds)
 
 
-def test_top_terms_broadcast_and_join_paths_agree(ray_session):
-    """tf-idf rank: both df-attach branches must produce the same top-k,
-    and the rank order (tf DESC, df ASC, term ASC) must hold."""
+def test_top_terms_matches_pandas_reference(ray_session):
+    """tf-idf rank: the exchange path equals a driver-side pandas
+    reference on a multi-block corpus, and the rank order (tf DESC, df ASC,
+    term ASC) holds."""
     import ray.data
 
-    from engine.ops.text import top_terms_per_doc
+    from engine.ops.text import term_doc_counts, top_terms_per_doc
 
-    docs = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
+    docs_t = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
         "text": pa.array([
             "apple apple banana zebra",       # tf: apple 2; tie banana/zebra
             "banana banana apple",
             "",                                # tokenless doc -> no rows
-        ])}))
+            "kiwi zebra apple kiwi",
+            "kiwi banana",
+        ])})
 
     def rows(ds):
         return sorted(((r["doc_id"], r["rank"], r["term"], r["tf"], r["df"])
                        for r in ds.take_all()))
 
-    bcast = rows(top_terms_per_doc(docs, k=2))
-    joined = rows(top_terms_per_doc(docs, k=2, max_broadcast_terms=0,
-                                    num_partitions=2))
-    # doc1: apple (tf2) then zebra (tf1, df1 beats banana df2).
+    td = term_doc_counts(docs_t).to_pandas()
+    td["df"] = td.groupby("term")["term"].transform("size")
+    td = td.sort_values(["doc_id", "tf", "df", "term"], ascending=[True, False, True, True])
+    td["rank"] = td.groupby("doc_id").cumcount() + 1
+    want = sorted((int(d), int(r), t, int(tf), int(df)) for d, r, t, tf, df in
+                  td[td["rank"] <= 2][["doc_id", "rank", "term", "tf", "df"]]
+                  .itertuples(index=False, name=None))
+    docs = ray.data.from_arrow([docs_t.slice(0, 2), docs_t.slice(2)])
+    assert rows(top_terms_per_doc(docs, k=2)) == want
+    # doc1: apple (tf2) then zebra (tf1, df2 beats banana df3).
     # doc2: banana (tf2) then apple (tf1).  doc3 absent.
-    expect = [(1, 1, "apple", 2, 2), (1, 2, "zebra", 1, 1),
-              (2, 1, "banana", 2, 2), (2, 2, "apple", 1, 2)]
-    assert bcast == expect
-    assert joined == expect
+    assert want[:4] == [(1, 1, "apple", 2, 3), (1, 2, "zebra", 1, 2),
+                        (2, 1, "banana", 2, 3), (2, 2, "apple", 1, 3)]
+    assert 3 not in {r[0] for r in want}
 
 
 def test_term_doc_counts_vectorized_counts():

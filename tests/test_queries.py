@@ -782,18 +782,6 @@ def test_sessionize_two_stage_matches_oracle_path(ray_session):
     assert one == two
 
 
-def test_shuffle_partitions_scales_with_input():
-    from engine.stages import shuffle_partitions
-
-    # Small input on a big cluster: parallelism floor, capped at cpus.
-    assert shuffle_partitions(1_000, cpus=32) == 16
-    # Big input: rows-derived need, still capped at cpus.
-    assert shuffle_partitions(500_000_000, cpus=32) == 32
-    # Scale-up: same data, 4x cluster -> wider shuffle.
-    assert shuffle_partitions(500_000_000, cpus=256) == 250
-    assert shuffle_partitions(0, cpus=8) == 4
-
-
 def test_drift_clips_query(ray_session):
     t = __import__("__ray_entry__").queries()["drift_clips"](SF_DIR)
     rows = {r["column"]: r for r in t.to_pylist()}
@@ -1310,6 +1298,30 @@ def test_user_order_activity_one_sided_empty(ray_session, tmp_path):
     assert out["key"].tolist() == [4]
     assert out["n_orders"].tolist() == [2]
     assert out["n_events"].tolist() == [0] and out["in_events"].tolist() == [0]
+
+
+def test_user_order_activity_null_keys_match_sql(ray_session, tmp_path):
+    """A NULL key matches nothing in SQL's FULL OUTER JOIN: the NULL user's
+    events and the NULL customer's orders come back as two rows, each with
+    the other side's count 0 and both ``in_`` flags 0 (``e.key IS NOT
+    NULL``), exactly as DuckDB returns them."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from engine import queries as q
+    from tools.check_oracles import canonical_hash, to_pandas
+
+    pq.write_table(pa.table({"user_id": pa.array([7, None, 7, None, 9], pa.int64())}),
+                   str(tmp_path / "events.parquet"))
+    pq.write_table(pa.table({"o_orderkey": pa.array([1, 2, 3], pa.int64()),
+                             "o_custkey": pa.array([None, 9, 4], pa.int64())}),
+                   str(tmp_path / "orders.parquet"))
+    con = duckdb.connect()
+    for t in ("events", "orders"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')")
+    want = con.sql(q.USER_ORDER_ACTIVITY_SQL).df()
+    got = to_pandas(q.user_order_activity(str(tmp_path)))
+    assert len(want) == 5 and canonical_hash(got) == canonical_hash(want)
 
 
 # Ray Data executions (StreamingExecutor.execute calls) one call of each

@@ -103,6 +103,32 @@ def test_components_and_keep_canonical_sparse(ray_session, monkeypatch):
     assert one_block == survivors(64)
 
 
+def test_exchange_join_one_row_blocks(ray_session):
+    """``stages.exchange_join`` over 64 one-row blocks a side (most parts
+    get no row of one side) gives the one-block result for each join."""
+    import pyarrow as pa
+    import ray.data
+
+    from engine.stages import exchange_join
+
+    left = pa.table({"k": pa.array([i % 40 for i in range(64)], pa.int64()),
+                     "lv": pa.array(range(64), pa.int64())})
+    right = pa.table({"k": pa.array(range(20, 84), pa.int64()),
+                      "rv": pa.array(range(64), pa.int64())})
+
+    def rows(how, one_row_blocks):
+        def ds(t):
+            return ray.data.from_arrow(
+                [t.slice(i, 1) for i in range(t.num_rows)] if one_row_blocks else t)
+        return sorted(tuple(r.values()) for r in
+                      exchange_join(ds(left), ds(right), ["k"], how=how).take_all())
+
+    for how, n in (("inner", 24), ("full outer", 108), ("left anti", 40)):
+        one_block = rows(how, False)
+        assert len(one_block) == n
+        assert rows(how, True) == one_block
+
+
 def test_tree_reduce_sparse(ray_session):
     """Sketch partials over 64 near-empty blocks reduce to the same state."""
     import json
